@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from .fourier import CubeGrid, RefractiveIndex, fourier_coeffs, inverse_fourier
+from .fourier import CubeGrid, RefractiveIndex
 
 
 class CgoError(RuntimeError):

@@ -23,7 +23,6 @@ import numpy as np
 from . import io as containers
 from .cgo import cgo_solve, cgo_vectors, rotate_index, rotation_to_axis
 from .forward import (
-    NearFieldData,
     PlaneWave,
     ScatteringSolver,
     SphereGrid,
@@ -305,6 +304,9 @@ def run_farfield(cfg, ws: Workspace):
 def run_cgo(cfg, ws: Workspace):
     if cfg.cgo_t is None or not cfg.cgo_gamma:
         raise ConfigError("cgo runs need [cgo] gamma and t")
+    if cfg.profile not in ("vacuum", "bump"):
+        raise ConfigError(f"cgo runs do not support [medium] profile = "
+                          f"{cfg.profile!r}; use 'vacuum' or 'bump'")
     grid = CubeGrid(np.pi, cfg.n)
     medium = build_medium(cfg, grid, ws.seed)
     gamma = np.asarray(cfg.cgo_gamma, dtype=float)
@@ -370,23 +372,13 @@ def _near_problem(cfg, grid, data):
                           b=cfg.b)
 
 
-def _synth_near_data(cfg, medium, sphere):
-    from .inversion import _ForwardState
-    shape = (sphere.nodes.shape[0], sphere.nodes.shape[0], 3, 3)
-    dummy = NearFieldData(receivers=sphere, sources=sphere,
-                          matrices=np.zeros(shape, dtype=complex))
-    state = _ForwardState(_near_problem(cfg, medium.grid, dummy), medium)
-    return NearFieldData(receivers=sphere, sources=sphere,
-                         matrices=state.matrices)
-
-
 def run_invert(cfg, ws: Workspace):
     if not cfg.deltas:
         raise ConfigError("invert runs need [noise] deltas (first entry used)")
     grid = CubeGrid(np.pi, cfg.n)
     truth = build_medium(cfg, grid, ws.seed)
     sphere = SphereGrid.build(cfg.R, cfg.n_theta, cfg.n_phi)
-    clean = _synth_near_data(cfg, truth, sphere)
+    clean = near_field_operator(truth, cfg.kappa, sphere)
     delta = cfg.deltas[0]
     seed = _noise_seeds(cfg, ws.seed, 1)[0]
     noisy = add_noise(clean, delta, seed)
@@ -415,7 +407,7 @@ def run_rates(cfg, ws: Workspace):
     grid = CubeGrid(np.pi, cfg.n)
     truth = build_medium(cfg, grid, ws.seed)
     sphere = SphereGrid.build(cfg.R, cfg.n_theta, cfg.n_phi)
-    clean = _synth_near_data(cfg, truth, sphere)
+    clean = near_field_operator(truth, cfg.kappa, sphere)
     prob = _near_problem(cfg, grid, clean)
     seeds = _noise_seeds(cfg, ws.seed, len(cfg.deltas))
     study = rate_study(truth, prob, cfg.deltas, seeds, cfg.inv_A, cfg.nu,

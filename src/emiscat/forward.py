@@ -11,23 +11,28 @@ form, so one application costs a few FFTs on the padded grid.  Truncation
 at 2*pi is exact for source and observation points in B(pi).
 
 Near- and far-field data operators assemble the 3x3 matrix responses to
-dipole and plane-wave excitations on measurement spheres.
+dipole and plane-wave excitations on measurement spheres.  Both, and the
+inversion, measure fields through one :class:`ReceiverMap` and lay out data
+columns through one :class:`DataColumns`.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .fourier import CubeGrid, RefractiveIndex, fourier_coeffs, inverse_fourier
+from .fourier import CubeGrid, RefractiveIndex, inverse_fourier
 
 
 class SolveError(RuntimeError):
-    """Krylov iteration failed to reach the requested residual."""
+    """Krylov iteration failed to reach the requested residual.
+
+    ``residuals`` is the residual history; ``context`` is the (column, slot)
+    label of the failed solve's source in a data set, if it has one."""
 
     def __init__(self, message, residuals=None, context=None):
         super().__init__(message)
@@ -188,13 +193,11 @@ class ScatteringSolver:
         grad = np.empty((N, N, N, 3), dtype=complex)
         for c, f in enumerate((f1, f2, f3)):
             grad[..., c] = inverse_fourier(1j * f * n.coeffs, grid)
-        self.grad_n = grad
         self.p = grad / n.values[..., None]
-        # quadrature support: contrast lives in B(pi); keep nodes where the
-        # contrast or its (spectral) gradient is non-negligible
-        scale = max(np.max(np.abs(self.q)), 1.0)
-        self.support = (grid.radii() < np.pi) & (
-            np.abs(self.q) + np.linalg.norm(grad, axis=-1) > 1e-14 * scale)
+        # quadrature nodes of the data maps: the contrast lives in B(pi), and
+        # derivative pairings need every node a perturbation may reach
+        self.ball = grid.radii() < np.pi
+        self._map = None  # (geometry key, ReceiverMap) of the last call
         # symbol of the truncated kernel on the padded lattice
         big = np.fft.fftfreq(self.M, d=1.0 / self.M) * (np.pi / (2 * np.pi))
         k1, k2, k3 = np.meshgrid(big, big, big, indexing="ij")
@@ -203,111 +206,174 @@ class ScatteringSolver:
         self.grad_symbol = (1j * np.stack([k1, k2, k3], axis=-1)
                             * self.symbol[..., None])
 
-    def _conv(self, f, symbol):
-        pad = np.zeros((self.M,) * 3, dtype=complex)
-        o = self.N // 2
-        pad[o:o + self.N, o:o + self.N, o:o + self.N] = f
-        out = scipy.fft.ifftn(symbol * scipy.fft.fftn(pad))
-        return out[o:o + self.N, o:o + self.N, o:o + self.N]
+    def potential(self, e, q=None, p=None):
+        """-kappa^2 conv(Phi, q E) + grad conv(Phi, p.E) on the grid.
 
-    def _grad_conv(self, f):
-        pad = np.zeros((self.M,) * 3, dtype=complex)
-        o = self.N // 2
-        pad[o:o + self.N, o:o + self.N, o:o + self.N] = f
-        fhat = scipy.fft.fftn(pad)
-        out = np.empty((self.N,) * 3 + (3,), dtype=complex)
-        for c in range(3):
-            comp = scipy.fft.ifftn(self.grad_symbol[..., c] * fhat)
-            out[..., c] = comp[o:o + self.N, o:o + self.N, o:o + self.N]
-        return out
-
-    def potential(self, e):
-        """-kappa^2 conv(Phi, q E) + grad conv(Phi, p.E) on the grid."""
+        (q, p) default to the medium's; a medium perturbation passes its
+        own."""
+        if q is None:
+            q, p = self.q, self.p
         o, N = self.N // 2, self.N
         sl = slice(o, o + N)
         pad = np.zeros((self.M,) * 3, dtype=complex)
-        pad[sl, sl, sl] = np.sum(self.p * e, axis=-1)
+        pad[sl, sl, sl] = np.sum(p * e, axis=-1)
         ghat = scipy.fft.fftn(pad)
         out = np.empty_like(e)
         for c in range(3):
             pad[...] = 0.0
-            pad[sl, sl, sl] = self.q * e[..., c]
+            pad[sl, sl, sl] = q * e[..., c]
             spec = (-self.kappa**2 * self.symbol * scipy.fft.fftn(pad)
                     + self.grad_symbol[..., c] * ghat)
             out[..., c] = scipy.fft.ifftn(spec)[sl, sl, sl]
         return out
 
+    def potential_adjoint(self, lam):
+        """Adjoint of the potential's volume map (q E, p.E) -> field.
+
+        Returns the vector field paired with q E and the scalar field paired
+        with p.E, so that the adjoint potential is
+        conj(q) * vec + conj(p) * sca.  FFT(lam_c) serves both terms."""
+        o, N = self.N // 2, self.N
+        sl = slice(o, o + N)
+        pad = np.zeros((self.M,) * 3, dtype=complex)
+        acc = np.zeros((self.M,) * 3, dtype=complex)
+        vec = np.empty_like(lam)
+        for c in range(3):
+            pad[sl, sl, sl] = lam[..., c]
+            lhat = scipy.fft.fftn(pad)
+            vec[..., c] = -self.kappa**2 * scipy.fft.ifftn(
+                np.conj(self.symbol) * lhat)[sl, sl, sl]
+            acc += np.conj(self.grad_symbol[..., c]) * lhat
+        return vec, scipy.fft.ifftn(acc)[sl, sl, sl]
+
     def _matvec(self, flat):
         e = flat.reshape((self.N,) * 3 + (3,))
         return (e - self.potential(e)).ravel()
 
-    def solve(self, source, x0=None) -> VectorFieldGrid:
-        """Total electric field for the given incident-field source."""
-        e_inc = source.electric(self.pts)
-        b = e_inc.ravel()
-        size = b.size
-        op = LinearOperator((size, size), matvec=self._matvec, dtype=complex)
+    def _krylov(self, matvec, b, x0=None, context=None):
+        """GMRES for matvec(x) = b at the solver's tolerance and iteration
+        limits; checks the true residual and raises :class:`SolveError`
+        with the residual history and ``context`` on failure."""
+        op = LinearOperator((b.size, b.size), matvec=matvec, dtype=complex)
         residuals = []
-        x, info = gmres(op, b, x0=(x0.ravel() if x0 is not None else b.copy()),
-                        rtol=self.rtol, atol=0.0, restart=self.restart,
+        x, info = gmres(op, b, x0=x0, rtol=self.rtol, atol=0.0,
+                        restart=self.restart,
                         maxiter=self.maxiter // self.restart,
                         callback=residuals.append, callback_type="pr_norm")
         if info != 0:
             raise SolveError(f"GMRES did not converge (info={info})",
-                             residuals=residuals)
-        e = x.reshape((self.N,) * 3 + (3,))
-        resid = np.linalg.norm(self._matvec(x) - b) / np.linalg.norm(b)
-        if resid > 10 * self.rtol:
-            raise SolveError(f"residual {resid:.2e} above tolerance",
-                             residuals=residuals)
-        return VectorFieldGrid(self.n.grid, e)
+                             residuals=residuals, context=context)
+        bnorm = np.linalg.norm(b)
+        resid = np.linalg.norm(matvec(x) - b)
+        if resid > 10 * self.rtol * bnorm:
+            raise SolveError(f"residual {resid / bnorm:.2e} above tolerance",
+                             residuals=residuals, context=context)
+        return x
+
+    def solve(self, source, x0=None, context=None) -> VectorFieldGrid:
+        """Total electric field for the given incident-field source."""
+        b = source.electric(self.pts).ravel()
+        x = self._krylov(self._matvec, b,
+                         x0.ravel() if x0 is not None else b.copy(), context)
+        return VectorFieldGrid(self.n.grid, x.reshape((self.N,) * 3 + (3,)))
 
     def born_field(self, source) -> VectorFieldGrid:
         """First Born approximation E_inc + potential(E_inc)."""
         e_inc = source.electric(self.pts)
         return VectorFieldGrid(self.n.grid, e_inc + self.potential(e_inc))
 
+    def densities(self, e, q=None, p=None):
+        """Volume densities (q E, p.E) on the nodes of B(pi); (q, p) as in
+        :meth:`potential`."""
+        if q is None:
+            q, p = self.q, self.p
+        eb = e[self.ball]
+        return q[self.ball][:, None] * eb, np.sum(p[self.ball] * eb, axis=-1)
+
+    def receiver_map(self, kind: str, points) -> "ReceiverMap":
+        """Near (receiver points) or far (unit directions) data map of this
+        grid, rebuilt only when the geometry changes."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        key = (kind, points.tobytes())
+        cached = self._map
+        if cached is None or cached[0] != key:
+            build = ReceiverMap.near if kind == "near" else ReceiverMap.far
+            cached = self._map = (key, build(self.n.grid, self.kappa, points))
+        return cached[1]
+
     def scattered_at(self, e_total: VectorFieldGrid, points) -> np.ndarray:
         """Scattered field at exterior points by direct quadrature.
 
         Valid for |x| > pi where the kernel is smooth across the support.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if np.any(np.linalg.norm(points, axis=-1) <= np.pi):
-            raise ValueError("evaluation points must lie outside B(pi)")
-        h3 = self.n.grid.spacing**3
-        mask = self.support
-        ys = self.pts[mask]
-        qe = (self.q[..., None] * e_total.values)[mask]
-        pe = np.sum(self.p * e_total.values, axis=-1)[mask]
-        out = np.empty((points.shape[0], 3), dtype=complex)
-        for i, x in enumerate(points):
-            phi = helmholtz_kernel(x[None, :] - ys, self.kappa)
-            gp = grad_kernel(x[None, :], ys, self.kappa)
-            out[i] = h3 * (-self.kappa**2 * phi @ qe + pe @ gp)
-        return out
+        return self.receiver_map("near", points).apply(
+            *self.densities(e_total.values))
 
     def far_pattern(self, e_total: VectorFieldGrid, xhats) -> np.ndarray:
         """Far-field amplitude E_inf(xhat) from the volume representation."""
-        xhats = np.atleast_2d(np.asarray(xhats, dtype=float))
-        h3 = self.n.grid.spacing**3
-        mask = self.support
-        ys = self.pts[mask]
-        qe = (self.q[..., None] * e_total.values)[mask]
-        pe = np.sum(self.p * e_total.values, axis=-1)[mask]
-        out = np.empty((xhats.shape[0], 3), dtype=complex)
-        for i, xh in enumerate(xhats):
-            ph = np.exp(-1j * self.kappa * ys @ xh)
-            out[i] = (h3 / (4 * np.pi)) * (-self.kappa**2 * ph @ qe
-                                           + 1j * self.kappa * (ph @ pe) * xh)
-        return out
+        return self.receiver_map("far", xhats).apply(
+            *self.densities(e_total.values))
 
     def residual(self, e_total: VectorFieldGrid, source) -> float:
         """Relative Lippmann-Schwinger residual inside B(pi)."""
         e_inc = source.electric(self.pts)
         r = e_total.values - self.potential(e_total.values) - e_inc
-        inside = self.n.grid.radii() < np.pi
-        return float(np.linalg.norm(r[inside]) / np.linalg.norm(e_inc[inside]))
+        return float(np.linalg.norm(r[self.ball])
+                     / np.linalg.norm(e_inc[self.ball]))
+
+
+@dataclass
+class ReceiverMap:
+    """Linear map from the densities (q E, p.E) on the nodes of B(pi) to
+    (n_rec, 3) data rows, with its adjoint.
+
+    rows = scale * (-kappa^2 K (q E) + G (p.E)).  For receiver points x,
+    K = Phi(x - y), G its gradient in x and scale = h^3.  For far directions
+    xhat, K = exp(-i kappa xhat.y), G = i kappa xhat K (applied, not stored)
+    and scale = h^3 / (4 pi).
+    """
+
+    scale: float
+    kappa: float
+    kernel: np.ndarray  # (n_rec, n_ball)
+    grad: np.ndarray | None = None  # (n_rec, n_ball, 3); near maps only
+    dirs: np.ndarray | None = None  # (n_rec, 3); far maps only
+
+    @classmethod
+    def near(cls, grid: CubeGrid, kappa: float, points) -> "ReceiverMap":
+        if np.any(np.linalg.norm(points, axis=-1) <= np.pi):
+            raise ValueError("evaluation points must lie outside B(pi)")
+        ys = grid.points()[grid.radii() < np.pi]
+        x = points[:, None, :]
+        return cls(grid.spacing**3, kappa, helmholtz_kernel(x - ys, kappa),
+                   grad=grad_kernel(x, ys, kappa))
+
+    @classmethod
+    def far(cls, grid: CubeGrid, kappa: float, xhats) -> "ReceiverMap":
+        ys = grid.points()[grid.radii() < np.pi]
+        phase = -1j * kappa * (xhats @ ys.T)
+        return cls(grid.spacing**3 / (4 * np.pi), kappa,
+                   np.exp(phase, out=phase), dirs=xhats)
+
+    def apply(self, qe, pe):
+        """Rows (n_rec, 3) of the densities qe (n_ball, 3), pe (n_ball,)."""
+        if self.grad is None:
+            gpe = 1j * self.kappa * (self.kernel @ pe)[:, None] * self.dirs
+        else:
+            gpe = np.einsum("xyc,y->xc", self.grad, pe)
+        return self.scale * (-self.kappa**2 * (self.kernel @ qe) + gpe)
+
+    def adjoint(self, rows):
+        """Densities (mu, nu) on the ball nodes paired with (q E, p.E)."""
+        def kernel_h(v):
+            return np.conj(self.kernel.T @ np.conj(v))
+
+        mu = -self.scale * self.kappa**2 * kernel_h(rows)
+        if self.grad is None:
+            nu = kernel_h(-1j * self.kappa * np.sum(rows * self.dirs, axis=1))
+        else:
+            nu = np.conj(np.einsum("xyc,xc->y", self.grad, np.conj(rows)))
+        return mu, self.scale * nu
 
 
 @dataclass(frozen=True)
@@ -376,12 +442,68 @@ class FarFieldData:
                                                axis=(2, 3)))))
 
 
-def _run_pool(jobs, workers):
+def tangent_frame(d):
+    """Unit tangents (t1, t2) with (t1, t2, d) a right-handed frame."""
+    ref = np.eye(3)[np.argmin(np.abs(d))]
+    t1 = np.cross(d, ref)
+    t1 /= np.linalg.norm(t1)
+    return t1, np.cross(d, t1)
+
+
+class DataColumns:
+    """Incident sources of a data set, one solve each, in column order.
+
+    ``pols`` (n_columns, n_slots, 3) holds their polarizations: source k has
+    the label (column, slot) = divmod(k, n_slots), and data column c is
+    sum_slot rows (x) pols[c, slot].  The adjoint contracts each column with
+    the polarizations.
+    """
+
+    def __init__(self, sources, pols):
+        self.sources = sources
+        self.pols = pols
+        self.labels = list(np.ndindex(pols.shape[:2]))
+
+    @classmethod
+    def dipoles(cls, sphere: SphereGrid, kappa: float) -> "DataColumns":
+        """Unit dipoles e_j at each node, in slot j of the node's column."""
+        eye = np.eye(3)
+        return cls([DipoleSource(y, a, kappa) for y in sphere.points()
+                    for a in eye],
+                    np.broadcast_to(eye, (sphere.nodes.shape[0], 3, 3)))
+
+    @classmethod
+    def plane_waves(cls, sphere: SphereGrid, kappa: float) -> "DataColumns":
+        """Two tangential polarizations per incidence; Cartesian columns
+        follow by linearity since longitudinal polarizations radiate
+        nothing."""
+        pols = np.array([tangent_frame(d) for d in sphere.nodes])
+        return cls([PlaneWave(d, t, kappa) for d, ts in zip(sphere.nodes, pols)
+                    for t in ts], pols)
+
+    def assemble(self, rows):
+        """Data matrices (n_rec, n_columns, 3, 3) from per-source rows."""
+        rows = np.reshape(rows, self.pols.shape[:2] + np.shape(rows[0]))
+        return np.einsum("csxi,csj->xcij", rows, self.pols)
+
+    def split(self, mats):
+        """Adjoint of :meth:`assemble`: per-source (n_rec, 3) rows."""
+        return np.einsum("xcij,csj->csxi", mats, self.pols).reshape(
+            (-1, mats.shape[0], 3))
+
+
+def _solve_columns(solver, columns: DataColumns, measure, workers):
+    """Solve for every incident source of ``columns`` and assemble the
+    measured rows; a failed solve carries its label as context."""
+    def job(source, label):
+        return lambda: measure(solver.solve(source, context=label))
+
+    jobs = [job(s, lab) for s, lab in zip(columns.sources, columns.labels)]
     if workers <= 1:
-        return [job() for job in jobs]
+        return columns.assemble([j() for j in jobs])
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
+        futures = [pool.submit(j) for j in jobs]
+        return columns.assemble([f.result() for f in futures])
 
 
 def near_field_operator(n: RefractiveIndex, kappa: float, sources: SphereGrid,
@@ -395,63 +517,18 @@ def near_field_operator(n: RefractiveIndex, kappa: float, sources: SphereGrid,
         receivers = sources
     solver = ScatteringSolver(n, kappa, rtol=rtol)
     rec_pts = receivers.points()
-    src_pts = sources.points()
-
-    def one(iy, j):
-        def job():
-            src = DipoleSource(src_pts[iy], np.eye(3)[j], kappa)
-            try:
-                e = solver.solve(src)
-            except SolveError as err:
-                err.context = (iy, j)
-                raise
-            return solver.scattered_at(e, rec_pts)
-        return job
-
-    jobs = [one(iy, j) for iy in range(src_pts.shape[0]) for j in range(3)]
-    results = _run_pool(jobs, workers)
-    mats = np.empty((rec_pts.shape[0], src_pts.shape[0], 3, 3), dtype=complex)
-    k = 0
-    for iy in range(src_pts.shape[0]):
-        for j in range(3):
-            mats[:, iy, :, j] = results[k]
-            k += 1
+    mats = _solve_columns(solver, DataColumns.dipoles(sources, kappa),
+                          lambda e: solver.scattered_at(e, rec_pts), workers)
     return NearFieldData(receivers=receivers, sources=sources, matrices=mats)
 
 
 def far_field_operator(n: RefractiveIndex, kappa: float, receivers: SphereGrid,
                        incidences: SphereGrid, rtol: float = 1e-8,
                        workers: int = 1) -> FarFieldData:
-    """Matrix far-field patterns from plane-wave solves.
-
-    Two tangential polarization solves per incidence suffice; Cartesian
-    columns follow by linearity since longitudinal polarizations radiate
-    nothing.
-    """
+    """Matrix far-field patterns from two tangential plane-wave solves per
+    incidence."""
     solver = ScatteringSolver(n, kappa, rtol=rtol)
-    xhats = receivers.nodes
-    ds = incidences.nodes
-
-    def tangents(d):
-        ref = np.eye(3)[np.argmin(np.abs(d))]
-        t1 = np.cross(d, ref)
-        t1 /= np.linalg.norm(t1)
-        return t1, np.cross(d, t1)
-
-    def one(idx):
-        def job():
-            d = ds[idx]
-            t1, t2 = tangents(d)
-            pats = []
-            for t in (t1, t2):
-                e = solver.solve(PlaneWave(d, t, kappa))
-                pats.append(solver.far_pattern(e, xhats))
-            mat = np.empty((xhats.shape[0], 3, 3), dtype=complex)
-            for j in range(3):
-                mat[:, :, j] = t1[j] * pats[0] + t2[j] * pats[1]
-            return mat
-        return job
-
-    results = _run_pool([one(i) for i in range(ds.shape[0])], workers)
-    mats = np.stack(results, axis=1)
+    mats = _solve_columns(solver, DataColumns.plane_waves(incidences, kappa),
+                          lambda e: solver.far_pattern(e, receivers.nodes),
+                          workers)
     return FarFieldData(receivers=receivers, incidences=incidences, matrices=mats)

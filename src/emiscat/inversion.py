@@ -14,24 +14,13 @@ during optimization, only checked on the returned iterate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.fft
 from scipy.optimize import minimize
-from scipy.sparse.linalg import LinearOperator, gmres
 
-from .forward import (
-    FarFieldData,
-    NearFieldData,
-    PlaneWave,
-    ScatteringSolver,
-    SolveError,
-    SphereGrid,
-    DipoleSource,
-    grad_kernel,
-    helmholtz_kernel,
-)
+from .forward import DataColumns, ScatteringSolver
 from .fourier import CubeGrid, RefractiveIndex, hm_norm, inverse_fourier
 
 
@@ -120,17 +109,8 @@ def add_noise(data, delta: float, seed: int):
     rng = np.random.default_rng(seed)
     shape = data.matrices.shape
     noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    if isinstance(data, NearFieldData):
-        probe = NearFieldData(receivers=data.receivers, sources=data.sources,
-                              matrices=noise, part=data.part)
-        scaled = noise * (delta / probe.norm())
-        return NearFieldData(receivers=data.receivers, sources=data.sources,
-                             matrices=data.matrices + scaled, part=data.part)
-    probe = FarFieldData(receivers=data.receivers, incidences=data.incidences,
-                         matrices=noise)
-    scaled = noise * (delta / probe.norm())
-    return FarFieldData(receivers=data.receivers, incidences=data.incidences,
-                        matrices=data.matrices + scaled)
+    probe = replace(data, matrices=noise)
+    return replace(data, matrices=data.matrices + noise * (delta / probe.norm()))
 
 
 def alpha_rule(delta: float, A: float, nu: float) -> float:
@@ -145,13 +125,6 @@ def alpha_rule(delta: float, A: float, nu: float) -> float:
     return 1.0 / (2.0 * A * deriv)
 
 
-def _tangents(d):
-    ref = np.eye(3)[np.argmin(np.abs(d))]
-    t1 = np.cross(d, ref)
-    t1 /= np.linalg.norm(t1)
-    return t1, np.cross(d, t1)
-
-
 class _ForwardState:
     """Solver plus retained total fields for every measurement source."""
 
@@ -159,74 +132,23 @@ class _ForwardState:
         self.problem = problem
         self.solver = ScatteringSolver(medium, problem.kappa,
                                        rtol=problem.rtol)
-        # quadrature over the whole ball, not just the contrast support:
-        # same measurement values, but derivative pairings need every node
-        # where a medium perturbation may live (e.g. at the vacuum start)
-        self.mask = problem.grid.radii() < np.pi
         data = problem.data
-        self.sources = []  # (incident source object, column assembler info)
         if problem.kind == "near":
-            src_pts = data.sources.points()
-            for iy in range(src_pts.shape[0]):
-                for j in range(3):
-                    self.sources.append(
-                        DipoleSource(src_pts[iy], np.eye(3)[j],
-                                     problem.kappa))
+            self.columns = DataColumns.dipoles(data.sources, problem.kappa)
+            points = data.receivers.points()
         else:
-            for d in data.incidences.nodes:
-                t1, t2 = _tangents(d)
-                for t in (t1, t2):
-                    self.sources.append(PlaneWave(d, t, problem.kappa))
-        self.fields = [self.solver.solve(s) for s in self.sources]
-        self.matrices = self._assemble()
+            self.columns = DataColumns.plane_waves(data.incidences,
+                                                   problem.kappa)
+            points = data.receivers.nodes
+        self.map = self.solver.receiver_map(problem.kind, points)
+        self.fields = [self.solver.solve(s, context=lab) for s, lab in
+                       zip(self.columns.sources, self.columns.labels)]
+        self.matrices = self.columns.assemble(
+            [self._measure_rows(f.values) for f in self.fields])
 
     def _measure_rows(self, e_values):
         """Linear measurement of one field: (n_rec, 3) rows."""
-        s = self.solver
-        prob = self.problem
-        qe = (s.q[..., None] * e_values)[self.mask]
-        pe = np.sum(s.p * e_values, axis=-1)[self.mask]
-        ys = s.pts[self.mask]
-        h3 = prob.grid.spacing**3
-        if prob.kind == "near":
-            rec = prob.data.receivers.points()
-            out = np.empty((rec.shape[0], 3), dtype=complex)
-            for i, x in enumerate(rec):
-                phi = helmholtz_kernel(x[None, :] - ys, prob.kappa)
-                gp = grad_kernel(x[None, :], ys, prob.kappa)
-                out[i] = h3 * (-prob.kappa**2 * phi @ qe + pe @ gp)
-            return out
-        xh = prob.data.receivers.nodes
-        out = np.empty((xh.shape[0], 3), dtype=complex)
-        for i, x in enumerate(xh):
-            ph = np.exp(-1j * prob.kappa * ys @ x)
-            out[i] = (h3 / (4 * np.pi)) * (
-                -prob.kappa**2 * ph @ qe + 1j * prob.kappa * (ph @ pe) * x)
-        return out
-
-    def _assemble(self):
-        prob = self.problem
-        data = prob.data
-        rows = [self._measure_rows(f.values) for f in self.fields]
-        if prob.kind == "near":
-            n_src = data.sources.nodes.shape[0]
-            mats = np.empty((data.receivers.nodes.shape[0], n_src, 3, 3),
-                            dtype=complex)
-            k = 0
-            for iy in range(n_src):
-                for j in range(3):
-                    mats[:, iy, :, j] = rows[k]
-                    k += 1
-            return mats
-        n_inc = data.incidences.nodes.shape[0]
-        mats = np.empty((data.receivers.nodes.shape[0], n_inc, 3, 3),
-                        dtype=complex)
-        for idx in range(n_inc):
-            t1, t2 = _tangents(data.incidences.nodes[idx])
-            for j in range(3):
-                mats[:, idx, :, j] = (t1[j] * rows[2 * idx]
-                                      + t2[j] * rows[2 * idx + 1])
-        return mats
+        return self.map.apply(*self.solver.densities(e_values))
 
     def measurement_weights(self):
         d = self.problem.data
@@ -235,100 +157,29 @@ class _ForwardState:
                     * d.receivers.radius**2 * d.sources.radius**2)
         return d.receivers.weights[:, None] * d.incidences.weights[None, :]
 
-    def source_residuals(self, res_mats):
-        """Per-retained-field measurement residual blocks (n_rec, 3)."""
-        prob = self.problem
-        out = []
-        if prob.kind == "near":
-            n_src = prob.data.sources.nodes.shape[0]
-            for iy in range(n_src):
-                for j in range(3):
-                    out.append(res_mats[:, iy, :, j])
-        else:
-            for idx in range(prob.data.incidences.nodes.shape[0]):
-                t1, t2 = _tangents(prob.data.incidences.nodes[idx])
-                r = res_mats[:, idx]
-                out.append(np.einsum("xij,j->xi", r, t1))
-                out.append(np.einsum("xij,j->xi", r, t2))
-        return out
-
     def measurement_adjoint(self, rows):
         """Adjoint of the measurement map: residual rows -> (mu, nu) fields.
 
         mu is the vector field paired with q*E, nu the scalar field paired
-        with p.E, both embedded on the full grid (support nodes only)."""
-        s = self.solver
-        prob = self.problem
-        ys = s.pts[self.mask]
-        h3 = prob.grid.spacing**3
-        mu_s = np.zeros((ys.shape[0], 3), dtype=complex)
-        nu_s = np.zeros(ys.shape[0], dtype=complex)
-        if prob.kind == "near":
-            rec = prob.data.receivers.points()
-            for i, x in enumerate(rec):
-                phi = helmholtz_kernel(x[None, :] - ys, prob.kappa)
-                gp = grad_kernel(x[None, :], ys, prob.kappa)
-                mu_s += -h3 * prob.kappa**2 * np.conj(phi)[:, None] * rows[i]
-                nu_s += h3 * np.conj(gp) @ rows[i]
-        else:
-            xh = prob.data.receivers.nodes
-            for i, x in enumerate(xh):
-                ph = np.exp(-1j * prob.kappa * ys @ x)
-                cph = np.conj(ph)
-                mu_s += -(h3 * prob.kappa**2 / (4 * np.pi)) \
-                    * cph[:, None] * rows[i]
-                nu_s += (-1j * prob.kappa * h3 / (4 * np.pi)) \
-                    * cph * (rows[i] @ x)
-        shape = (prob.grid.n,) * 3
-        mu = np.zeros(shape + (3,), dtype=complex)
-        nu = np.zeros(shape, dtype=complex)
-        mu[self.mask] = mu_s
-        nu[self.mask] = nu_s
+        with p.E, both embedded on the full grid (ball nodes only)."""
+        ball = self.solver.ball
+        mu = np.zeros(ball.shape + (3,), dtype=complex)
+        nu = np.zeros(ball.shape, dtype=complex)
+        mu[ball], nu[ball] = self.map.adjoint(rows)
         return mu, nu
 
-    def _conv_adj(self, f):
-        """Adjoint of the solver's padded convolution (conjugate symbol)."""
-        s = self.solver
-        pad = np.zeros((s.M,) * 3, dtype=complex)
-        o = s.N // 2
-        sl = slice(o, o + s.N)
-        pad[sl, sl, sl] = f
-        out = scipy.fft.ifftn(np.conj(s.symbol) * scipy.fft.fftn(pad))
-        return out[sl, sl, sl]
-
-    def _grad_conv_adj(self, v):
-        """Adjoint of the gradient-convolution: vector field -> scalar."""
-        s = self.solver
-        o = s.N // 2
-        sl = slice(o, o + s.N)
-        acc = np.zeros((s.M,) * 3, dtype=complex)
-        pad = np.zeros((s.M,) * 3, dtype=complex)
-        for c in range(3):
-            pad[...] = 0.0
-            pad[sl, sl, sl] = v[..., c]
-            acc += np.conj(s.grad_symbol[..., c]) * scipy.fft.fftn(pad)
-        return scipy.fft.ifftn(acc)[sl, sl, sl]
-
-    def adjoint_solve(self, rho):
-        """Solve (I - P)^H lambda = rho with the conjugated potential."""
+    def adjoint_solve(self, rho, context=None):
+        """Solve (I - P)^H lambda = rho with the adjoint potential."""
         s = self.solver
 
         def matvec(flat):
-            lam = flat.reshape((s.N,) * 3 + (3,))
-            conv = np.stack([self._conv_adj(lam[..., c]) for c in range(3)],
-                            axis=-1)
-            gsc = self._grad_conv_adj(lam)
-            p_adj = (-s.kappa**2 * np.conj(s.q)[..., None] * conv
-                     + np.conj(s.p) * gsc[..., None])
-            return (lam - p_adj).ravel()
+            lam = flat.reshape(rho.shape)
+            vec, sca = s.potential_adjoint(lam)
+            return (lam - np.conj(s.q)[..., None] * vec
+                    - np.conj(s.p) * sca[..., None]).ravel()
 
-        size = rho.size
-        op = LinearOperator((size, size), matvec=matvec, dtype=complex)
-        x, info = gmres(op, rho.ravel(), rtol=self.problem.rtol, atol=0.0,
-                        restart=50, maxiter=40)
-        if info != 0:
-            raise SolveError(f"adjoint GMRES did not converge (info={info})")
-        return x.reshape(rho.shape)
+        return s._krylov(matvec, rho.ravel(), context=context).reshape(
+            rho.shape)
 
 
 def _coeff_transpose(grid: CubeGrid, t_field):
@@ -349,14 +200,14 @@ def misfit_gradient(state: _ForwardState):
     s = state.solver
     a_q = np.zeros((prob.grid.n,) * 3, dtype=complex)
     a_p = np.zeros((prob.grid.n,) * 3 + (3,), dtype=complex)
-    for fld, rows in zip(state.fields, state.source_residuals(res)):
+    for fld, rows, label in zip(state.fields, state.columns.split(res),
+                                state.columns.labels):
         mu, nu = state.measurement_adjoint(rows)
         rho = np.conj(s.q)[..., None] * mu + np.conj(s.p) * nu[..., None]
-        lam = state.adjoint_solve(rho)
-        conv = np.stack([state._conv_adj(lam[..., c]) for c in range(3)],
-                        axis=-1)
-        psi = mu - s.kappa**2 * conv
-        chi = nu + state._grad_conv_adj(lam)
+        lam = state.adjoint_solve(rho, context=label)
+        vec, sca = s.potential_adjoint(lam)
+        psi = mu + vec
+        chi = nu + sca
         u = fld.values
         a_q += np.einsum("...c,...c->...", u, np.conj(psi))
         a_p += u * np.conj(chi)[..., None]
@@ -384,62 +235,15 @@ def frechet_apply(problem: InverseProblem, medium, h_coeffs) -> np.ndarray:
     nvals = s.n.values
     dq = -v
     dp = (w - s.p * v[..., None]) / nvals[..., None]
-
-    def potential_perturb(e):
-        """dP applied to a field: potential with (dq, dp) in place of (q, p)."""
-        o, N = s.N // 2, s.N
-        sl = slice(o, o + N)
-        pad = np.zeros((s.M,) * 3, dtype=complex)
-        pad[sl, sl, sl] = np.sum(dp * e, axis=-1)
-        ghat = scipy.fft.fftn(pad)
-        out = np.empty_like(e)
-        for c in range(3):
-            pad[...] = 0.0
-            pad[sl, sl, sl] = dq * e[..., c]
-            spec = (-s.kappa**2 * s.symbol * scipy.fft.fftn(pad)
-                    + s.grad_symbol[..., c] * ghat)
-            out[..., c] = scipy.fft.ifftn(spec)[sl, sl, sl]
-        return out
-
-    size = 3 * s.N**3
-    op = LinearOperator((size, size), matvec=s._matvec, dtype=complex)
     d_rows = []
-    for fld in state.fields:
-        rhs = potential_perturb(fld.values)
-        x, info = gmres(op, rhs.ravel(), rtol=problem.rtol, atol=0.0,
-                        restart=50, maxiter=40)
-        if info != 0:
-            raise SolveError("linearized solve did not converge")
-        du = x.reshape(rhs.shape)
+    for fld, label in zip(state.fields, state.columns.labels):
+        u = fld.values
+        du = s._krylov(s._matvec, s.potential(u, dq, dp).ravel(),
+                       context=label).reshape(u.shape)
         # measurement perturbation: medium term plus field term
-        base_q, base_p = s.q, s.p
-        try:
-            s.q, s.p = dq, dp
-            med_rows = state._measure_rows(fld.values)
-        finally:
-            s.q, s.p = base_q, base_p
-        d_rows.append(med_rows + state._measure_rows(du))
-    rows_backup = d_rows
-    prob = problem
-    if prob.kind == "near":
-        n_src = prob.data.sources.nodes.shape[0]
-        mats = np.empty((prob.data.receivers.nodes.shape[0], n_src, 3, 3),
-                        dtype=complex)
-        k = 0
-        for iy in range(n_src):
-            for j in range(3):
-                mats[:, iy, :, j] = rows_backup[k]
-                k += 1
-        return mats
-    n_inc = prob.data.incidences.nodes.shape[0]
-    mats = np.empty((prob.data.receivers.nodes.shape[0], n_inc, 3, 3),
-                    dtype=complex)
-    for idx in range(n_inc):
-        t1, t2 = _tangents(prob.data.incidences.nodes[idx])
-        for j in range(3):
-            mats[:, idx, :, j] = (t1[j] * rows_backup[2 * idx]
-                                  + t2[j] * rows_backup[2 * idx + 1])
-    return mats
+        d_rows.append(state.map.apply(*s.densities(u, dq, dp))
+                      + state._measure_rows(du))
+    return state.columns.assemble(d_rows)
 
 
 @dataclass

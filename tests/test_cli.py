@@ -179,6 +179,20 @@ m_grid = 24
         with pytest.raises(ConfigError, match="gamma and t"):
             run("cgo", cfg, out_dir=str(tmp_path / "o"))
 
+    def test_cgo_rejects_bandlimited_profile(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini", BASE + """
+[medium]
+profile = bandlimited
+
+[cgo]
+gamma = 1,0,0
+t = 25.0
+""")
+        with pytest.raises(ConfigError, match="'bandlimited'"):
+            run("cgo", cfg, out_dir=str(tmp_path / "o"))
+        assert main(["cgo", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 2
+
 
 class TestVscPipeline:
     def test_vsc_check(self, tmp_path):

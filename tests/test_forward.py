@@ -5,8 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from emiscat.forward import (
+    DataColumns,
     DipoleSource,
     PlaneWave,
+    ReceiverMap,
     ScatteringSolver,
     SolveError,
     SphereGrid,
@@ -341,3 +343,65 @@ class TestFarFieldOperator:
         direct = solver.far_pattern(e, rec.nodes)
         via_matrix = np.einsum("xij,j->xi", data.matrices[:, 1], p)
         assert np.linalg.norm(direct - via_matrix) <= 1e-8 * np.linalg.norm(direct)
+
+    def test_nonconvergence_context(self):
+        # an unreachable tolerance fails the first solve, tagged with its
+        # (incidence, polarization) label
+        grid = CubeGrid(np.pi, 8)
+        one = SphereGrid.build(1.0, 1, 1)
+        with pytest.raises(SolveError) as err:
+            far_field_operator(bump_medium(grid), KAPPA, one, one, rtol=1e-30)
+        assert err.value.context == (0, 0)
+        assert len(err.value.residuals) > 0
+
+
+def _random(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _inner(a, b):
+    return np.sum(a * np.conj(b))
+
+
+class TestAdjointIdentities:
+    """<A x, y> = <x, A^H y> for the data maps and the volume potential."""
+
+    grid = CubeGrid(np.pi, 12)
+
+    def _check_map(self, rmap, seed):
+        rng = np.random.default_rng(seed)
+        n_ball = int(np.sum(self.grid.radii() < np.pi))
+        qe, pe = _random(rng, (n_ball, 3)), _random(rng, n_ball)
+        rows = _random(rng, (rmap.kernel.shape[0], 3))
+        mu, nu = rmap.adjoint(rows)
+        lhs = _inner(rmap.apply(qe, pe), rows)
+        rhs = _inner(qe, mu) + _inner(pe, nu)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    def test_near_map(self):
+        points = SphereGrid.build(1.5 * np.pi, 2, 3).points()
+        self._check_map(ReceiverMap.near(self.grid, KAPPA, points), 1)
+
+    def test_far_map(self):
+        dirs = SphereGrid.build(1.0, 2, 3).nodes
+        self._check_map(ReceiverMap.far(self.grid, KAPPA, dirs), 2)
+
+    def test_volume_potential(self):
+        solver = ScatteringSolver(bump_medium(self.grid), KAPPA)
+        rng = np.random.default_rng(3)
+        shape = (12,) * 3
+        q, p = _random(rng, shape), _random(rng, shape + (3,))
+        e, lam = _random(rng, shape + (3,)), _random(rng, shape + (3,))
+        vec, sca = solver.potential_adjoint(lam)
+        lhs = _inner(solver.potential(e, q, p), lam)
+        rhs = _inner(e, np.conj(q)[..., None] * vec + np.conj(p) * sca[..., None])
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    def test_column_layout(self):
+        rng = np.random.default_rng(4)
+        cols = DataColumns.plane_waves(SphereGrid.build(1.0, 2, 2), KAPPA)
+        rows = [_random(rng, (5, 3)) for _ in cols.sources]
+        mats = _random(rng, (5, cols.pols.shape[0], 3, 3))
+        lhs = _inner(cols.assemble(rows), mats)
+        rhs = sum(_inner(r, m) for r, m in zip(rows, cols.split(mats)))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)

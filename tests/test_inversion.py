@@ -6,6 +6,7 @@ import pytest
 from emiscat.forward import (
     FarFieldData,
     NearFieldData,
+    SolveError,
     SphereGrid,
     near_field_operator,
 )
@@ -287,6 +288,18 @@ class TestMisfitGradient:
     def test_far_gradient(self):
         prob, c0 = self._setup("far")
         self._check_directions(prob, c0, seeds=range(30, 33))
+
+    def test_adjoint_nonconvergence_context(self):
+        # one GMRES iteration cannot reach the tolerance: the failure names
+        # the (source, polarization) label and keeps its residual history
+        prob = small_problem(8)
+        med = band_limited_index(prob.grid, 2.0, 0.05, seed=1)
+        state = _ForwardState(prob, med)
+        state.solver.restart = state.solver.maxiter = 1
+        with pytest.raises(SolveError) as err:
+            misfit_gradient(state)
+        assert err.value.context == (0, 0)
+        assert len(err.value.residuals) > 0
 
     def test_gradient_at_vacuum(self):
         # measurement adjoints must see the whole ball, not just the
