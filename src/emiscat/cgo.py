@@ -387,9 +387,10 @@ def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, m_grid: int = 64,
     eta = np.asarray(eta, dtype=complex)
     if kappa is None:
         kappa = float(np.sqrt(np.real(zeta @ zeta)))
-    if abs(zeta @ zeta - kappa**2) > 1e-8 * max(1.0, kappa**2):
+    zn = np.linalg.norm(zeta)  # rounding scales with |zeta| ~ t
+    if abs(zeta @ zeta - kappa**2) > 1e-8 * max(1.0, kappa**2, zn**2):
         raise CgoError("zeta.zeta != kappa^2")
-    if abs(zeta @ eta) > 1e-8 * np.linalg.norm(eta):
+    if abs(zeta @ eta) > 1e-8 * zn * np.linalg.norm(eta):
         raise CgoError("zeta.eta != 0")
     med = MediumFields(n, R, m_grid).attach_kappa(kappa)
     op = FaddeevOperator(zeta, med.grid, axis=axis)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 
 from . import io as containers
 from .cgo import cgo_solve, cgo_vectors, rotate_index, rotation_to_axis
@@ -463,7 +464,9 @@ RUNNERS = {"forward": run_forward, "nearfield": run_nearfield,
 
 def run(kind: str, config_path, out_dir=None, seed: int = 0,
         threads: int = 1) -> dict:
-    """Execute one experiment; returns the manifest."""
+    """Execute one experiment with ``threads`` FFT workers."""
+    if threads < 1:
+        raise ConfigError("threads must be at least 1")
     cfg = load_config(config_path)
     if cfg.kind is not None and cfg.kind != kind:
         raise ConfigError(f"config declares kind {cfg.kind!r} but the "
@@ -472,7 +475,8 @@ def run(kind: str, config_path, out_dir=None, seed: int = 0,
     if target is None:
         raise ConfigError("no output directory (config [output] or --out)")
     ws = Workspace(target, seed)
-    RUNNERS[kind](cfg, ws)
+    with scipy.fft.set_workers(threads):
+        RUNNERS[kind](cfg, ws)
     return ws.finish()
 
 

@@ -7,8 +7,9 @@ The total field solves
 with Phi the outgoing Helmholtz kernel.  The convolutions are discretized
 by periodizing the kernel, truncated at radius 2*pi, on the enclosing cube
 of half-side 2*pi; the truncated kernel's Fourier symbol is known in closed
-form, so one application costs a few FFTs on the padded grid.  Truncation
-at 2*pi is exact for source and observation points in B(pi).
+form, so one application costs a few FFTs on the (2N)^3 padded grid,
+pruned to skip all-zero lines.  Truncation at 2*pi is exact for source and
+observation points in B(pi).
 
 Near- and far-field data operators assemble the 3x3 matrix responses to
 dipole and plane-wave excitations on measurement spheres.  Both, and the
@@ -18,7 +19,6 @@ columns through one :class:`DataColumns`.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,13 +198,32 @@ class ScatteringSolver:
         # derivative pairings need every node a perturbation may reach
         self.ball = grid.radii() < np.pi
         self._map = None  # (geometry key, ReceiverMap) of the last call
-        # symbol of the truncated kernel on the padded lattice
-        big = np.fft.fftfreq(self.M, d=1.0 / self.M) * (np.pi / (2 * np.pi))
-        k1, k2, k3 = np.meshgrid(big, big, big, indexing="ij")
-        xi = np.sqrt(k1**2 + k2**2 + k3**2)
+        # symbol of the truncated kernel on the padded lattice; i*k along
+        # axis c as a broadcast 1-D vector; the grid's block along axis c
+        k = np.fft.fftfreq(self.M, d=1.0 / self.M) * (np.pi / (2 * np.pi))
+        xi = np.sqrt(k[:, None, None]**2 + k[None, :, None]**2
+                     + k[None, None, :]**2)
         self.symbol = truncated_kernel_symbol(xi, self.kappa, 2.0 * np.pi)
-        self.grad_symbol = (1j * np.stack([k1, k2, k3], axis=-1)
-                            * self.symbol[..., None])
+        self.ik = [1j * k.reshape(np.roll((-1, 1, 1), c)) for c in range(3)]
+        self._block = [(slice(None),) * c + (slice(N // 2, N // 2 + N),)
+                       for c in range(3)]
+
+    def _padded_fft(self, x):
+        """FFT of x zero-padded to M^3, padding each axis only when it is
+        transformed: (N,N,N) -> (M,N,N) -> (M,M,N) -> (M,M,M)."""
+        for ax in range(3):
+            pad = np.zeros(x.shape[:ax] + (self.M,) + x.shape[ax + 1:],
+                           dtype=complex)
+            pad[self._block[ax]] = x
+            x = scipy.fft.fftn(pad, axes=(ax,), overwrite_x=True)
+        return x
+
+    def _cropped_ifft(self, spec):
+        """Inverse FFT of spec (overwritten), cropped to N^3 axis by axis."""
+        for ax in (2, 1, 0):
+            spec = np.ascontiguousarray(scipy.fft.ifftn(
+                spec, axes=(ax,), overwrite_x=True)[self._block[ax]])
+        return spec
 
     def potential(self, e, q=None, p=None):
         """-kappa^2 conv(Phi, q E) + grad conv(Phi, p.E) on the grid.
@@ -213,18 +232,13 @@ class ScatteringSolver:
         own."""
         if q is None:
             q, p = self.q, self.p
-        o, N = self.N // 2, self.N
-        sl = slice(o, o + N)
-        pad = np.zeros((self.M,) * 3, dtype=complex)
-        pad[sl, sl, sl] = np.sum(p * e, axis=-1)
-        ghat = scipy.fft.fftn(pad)
+        ghat = self._padded_fft(np.einsum("...c,...c->...", p, e))
         out = np.empty_like(e)
         for c in range(3):
-            pad[...] = 0.0
-            pad[sl, sl, sl] = q * e[..., c]
-            spec = (-self.kappa**2 * self.symbol * scipy.fft.fftn(pad)
-                    + self.grad_symbol[..., c] * ghat)
-            out[..., c] = scipy.fft.ifftn(spec)[sl, sl, sl]
+            spec = self._padded_fft(-self.kappa**2 * q * e[..., c])
+            spec += ghat * self.ik[c]
+            spec *= self.symbol
+            out[..., c] = self._cropped_ifft(spec)
         return out
 
     def potential_adjoint(self, lam):
@@ -233,18 +247,16 @@ class ScatteringSolver:
         Returns the vector field paired with q E and the scalar field paired
         with p.E, so that the adjoint potential is
         conj(q) * vec + conj(p) * sca.  FFT(lam_c) serves both terms."""
-        o, N = self.N // 2, self.N
-        sl = slice(o, o + N)
-        pad = np.zeros((self.M,) * 3, dtype=complex)
-        acc = np.zeros((self.M,) * 3, dtype=complex)
+        csym = np.conj(self.symbol)
+        acc = np.zeros_like(csym)
         vec = np.empty_like(lam)
         for c in range(3):
-            pad[sl, sl, sl] = lam[..., c]
-            lhat = scipy.fft.fftn(pad)
-            vec[..., c] = -self.kappa**2 * scipy.fft.ifftn(
-                np.conj(self.symbol) * lhat)[sl, sl, sl]
-            acc += np.conj(self.grad_symbol[..., c]) * lhat
-        return vec, scipy.fft.ifftn(acc)[sl, sl, sl]
+            lhat = self._padded_fft(lam[..., c])
+            acc -= lhat * self.ik[c]  # conj(i k) = -i k
+            lhat *= csym
+            vec[..., c] = self._cropped_ifft(lhat)
+        acc *= csym
+        return -self.kappa**2 * vec, self._cropped_ifft(acc)
 
     def _matvec(self, flat):
         e = flat.reshape((self.N,) * 3 + (3,))
@@ -492,23 +504,16 @@ class DataColumns:
             (-1, mats.shape[0], 3))
 
 
-def _solve_columns(solver, columns: DataColumns, measure, workers):
+def _solve_columns(solver, columns: DataColumns, measure):
     """Solve for every incident source of ``columns`` and assemble the
     measured rows; a failed solve carries its label as context."""
-    def job(source, label):
-        return lambda: measure(solver.solve(source, context=label))
-
-    jobs = [job(s, lab) for s, lab in zip(columns.sources, columns.labels)]
-    if workers <= 1:
-        return columns.assemble([j() for j in jobs])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(j) for j in jobs]
-        return columns.assemble([f.result() for f in futures])
+    return columns.assemble([measure(solver.solve(s, context=lab)) for s, lab
+                             in zip(columns.sources, columns.labels)])
 
 
 def near_field_operator(n: RefractiveIndex, kappa: float, sources: SphereGrid,
-                        receivers: SphereGrid | None = None, rtol: float = 1e-8,
-                        workers: int = 1) -> NearFieldData:
+                        receivers: SphereGrid | None = None,
+                        rtol: float = 1e-8) -> NearFieldData:
     """Scattered part of the Green's tensor data, column j the response to a
     unit dipole moment along axis j."""
     if sources.radius <= np.pi:
@@ -518,17 +523,16 @@ def near_field_operator(n: RefractiveIndex, kappa: float, sources: SphereGrid,
     solver = ScatteringSolver(n, kappa, rtol=rtol)
     rec_pts = receivers.points()
     mats = _solve_columns(solver, DataColumns.dipoles(sources, kappa),
-                          lambda e: solver.scattered_at(e, rec_pts), workers)
+                          lambda e: solver.scattered_at(e, rec_pts))
     return NearFieldData(receivers=receivers, sources=sources, matrices=mats)
 
 
 def far_field_operator(n: RefractiveIndex, kappa: float, receivers: SphereGrid,
-                       incidences: SphereGrid, rtol: float = 1e-8,
-                       workers: int = 1) -> FarFieldData:
+                       incidences: SphereGrid,
+                       rtol: float = 1e-8) -> FarFieldData:
     """Matrix far-field patterns from two tangential plane-wave solves per
     incidence."""
     solver = ScatteringSolver(n, kappa, rtol=rtol)
     mats = _solve_columns(solver, DataColumns.plane_waves(incidences, kappa),
-                          lambda e: solver.far_pattern(e, receivers.nodes),
-                          workers)
+                          lambda e: solver.far_pattern(e, receivers.nodes))
     return FarFieldData(receivers=receivers, incidences=incidences, matrices=mats)

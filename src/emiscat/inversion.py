@@ -281,44 +281,41 @@ def tikhonov_reconstruct(problem: InverseProblem, alpha: float,
         full[mask] = c
         return c, full
 
-    cache = {}
+    evals = {}  # iterate bytes -> (functional, gradient, misfit^2, penalty)
 
-    def objective(z):
-        c, full = unpack(z)
-        state = _ForwardState(problem, ContrastMedium(grid=grid, coeffs=full))
-        mis, grad_c = misfit_gradient(state)
-        pen = 0.5 * float(np.sum(weights * np.abs(c) ** 2))
-        val = mis / alpha + pen
-        g = grad_c[mask] / alpha + 0.5 * weights * c
-        cache[z.tobytes()] = val
-        return val, np.concatenate([2.0 * g.real, 2.0 * g.imag])
+    def evaluate(z):
+        key = z.tobytes()
+        if key not in evals:
+            c, full = unpack(z)
+            state = _ForwardState(problem,
+                                  ContrastMedium(grid=grid, coeffs=full))
+            mis, grad_c = misfit_gradient(state)
+            pen = 0.5 * float(np.sum(weights * np.abs(c) ** 2))
+            g = grad_c[mask] / alpha + 0.5 * weights * c
+            evals[key] = (mis / alpha + pen,
+                          np.concatenate([2.0 * g.real, 2.0 * g.imag]), mis,
+                          pen)
+        return evals[key]
 
     if init_coeffs is None:
         z0 = np.zeros(2 * n_c)
     else:
         c0 = np.asarray(init_coeffs)[mask]
         z0 = np.concatenate([c0.real, c0.imag])
-    history = [objective(z0)[0]]
-
-    def record(zk):
-        history.append(cache.get(zk.tobytes(), history[-1]))
-
-    out = minimize(objective, z0, jac=True, method="L-BFGS-B",
-                   callback=record,
+    history = [evaluate(z0)[0]]
+    out = minimize(lambda z: evaluate(z)[:2], z0, jac=True,
+                   method="L-BFGS-B",
+                   callback=lambda zk: history.append(evaluate(zk)[0]),
                    options={"maxiter": maxiter, "gtol": gtol,
                             "ftol": 1e-14})
     _, full = unpack(out.x)
     med = ContrastMedium(grid=grid, coeffs=full)
-    state = _ForwardState(problem, med)
-    w = state.measurement_weights()
-    mis = float(np.sum(w[..., None, None]
-                       * np.abs(state.matrices - problem.data.matrices) ** 2))
-    pen = 0.5 * float(np.sum(weights * np.abs(full[mask]) ** 2))
+    val, _, mis, pen = evaluate(out.x)
     ok_re, ok_im = med.admissible(problem.b)
     monotone = all(b <= a * (1.0 + 1e-12) + 1e-14
                    for a, b in zip(history, history[1:]))
     return ReconstructionResult(
-        coeffs=full, medium=med, functional=mis / alpha + pen,
+        coeffs=full, medium=med, functional=val,
         misfit=np.sqrt(mis), penalty=pen, converged=bool(out.success),
         iterations=int(out.nit), admissible_re=ok_re, admissible_im=ok_im,
         history=history, monotone=monotone)

@@ -247,6 +247,25 @@ class TestCgoSolve:
             cgo_solve(n, np.array([3.0, 0, 1j * 10.0]), eta, R_CGO,
                       m_grid=16, kappa=KAPPA)
 
+    @pytest.mark.parametrize("gamma, t", [((1.0, -1.0, 1.0), 1e4),
+                                          ((1.0, 0.0, 0.0), 2.5e5)])
+    def test_constraints_scale_with_zeta(self, gamma, t):
+        # rotation_to_axis leaves zeta.zeta - kappa^2 at about |zeta|^2 eps
+        n = bump_medium(n_grid=16)
+        gamma = np.array(gamma)
+        v = cgo_vectors(gamma, t, KAPPA)
+        rot = rotation_to_axis(v.a1, v.a2, gamma / np.linalg.norm(gamma))
+        zeta, eta = rot @ v.zeta1, rot @ v.eta1
+        assert abs(zeta @ zeta - KAPPA**2) > 1e-8
+        cgo_solve(rotate_index(n, rot), zeta, eta, R_CGO, m_grid=16,
+                  kappa=KAPPA)
+        wrong = zeta + np.array([1e-6 * t, 0.0, 0.0])
+        with pytest.raises(CgoError, match="zeta.zeta"):
+            cgo_solve(n, wrong, eta, R_CGO, m_grid=16, kappa=KAPPA)
+        with pytest.raises(CgoError, match="zeta.eta"):
+            cgo_solve(n, zeta, eta + 1e-6 * np.conj(zeta), R_CGO,
+                      m_grid=16, kappa=KAPPA)
+
 
 class TestProductExpansion:
     def test_identity(self):

@@ -100,6 +100,11 @@ s = 9.5
         with pytest.raises(ConfigError, match="output directory"):
             run("forward", cfg)
 
+    def test_threads_guard(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini", BASE)
+        with pytest.raises(ConfigError, match="threads"):
+            run("forward", cfg, out_dir=str(tmp_path / "o"), threads=0)
+
 
 class TestForwardPipeline:
     def test_vacuum_forward(self, tmp_path):
@@ -150,6 +155,15 @@ class TestDataPipelines:
         summary = json.loads((out / "nearfield_summary.json").read_text())
         assert summary["norm"] > 0
         assert (out / "near_data.dat").exists()
+
+    def test_nearfield_threads_do_not_change_outputs(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini", BASE + BUMP)
+        out1, out2 = tmp_path / "t1", tmp_path / "t2"
+        for out, threads in ((out1, 1), (out2, 2)):
+            assert main(["nearfield", "--config", cfg, "--out", str(out),
+                         "--threads", str(threads)]) == 0
+        assert (out1 / "manifest.json").read_bytes() \
+            == (out2 / "manifest.json").read_bytes()
 
     def test_farfield(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", BASE + BUMP)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.integrate import quad
 
 from emiscat.forward import (
@@ -405,3 +406,72 @@ class TestAdjointIdentities:
         lhs = _inner(cols.assemble(rows), mats)
         rhs = sum(_inner(r, m) for r, m in zip(rows, cols.split(mats)))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+def _full_pad(solver, x):
+    """x embedded in the zero (2N)^3 pad at the potential's offset."""
+    o, N = solver.N // 2, solver.N
+    pad = np.zeros((solver.M,) * 3, dtype=complex)
+    pad[o:o + N, o:o + N, o:o + N] = x
+    return pad
+
+
+def _full_grad_symbol(solver):
+    k = np.fft.fftfreq(solver.M, d=1.0 / solver.M) * 0.5
+    k1, k2, k3 = np.meshgrid(k, k, k, indexing="ij")
+    return 1j * np.stack([k1, k2, k3], axis=-1) * solver.symbol[..., None]
+
+
+def oracle_potential(solver, e, q, p):
+    """Volume potential by dense FFTs of the full zero-padded cube."""
+    o, N = solver.N // 2, solver.N
+    sl = slice(o, o + N)
+    gsym = _full_grad_symbol(solver)
+    ghat = scipy.fft.fftn(_full_pad(solver, np.sum(p * e, axis=-1)))
+    out = np.empty_like(e)
+    for c in range(3):
+        spec = (-solver.kappa**2 * solver.symbol
+                * scipy.fft.fftn(_full_pad(solver, q * e[..., c]))
+                + gsym[..., c] * ghat)
+        out[..., c] = scipy.fft.ifftn(spec)[sl, sl, sl]
+    return out
+
+
+def oracle_potential_adjoint(solver, lam):
+    o, N = solver.N // 2, solver.N
+    sl = slice(o, o + N)
+    gsym = _full_grad_symbol(solver)
+    acc = np.zeros((solver.M,) * 3, dtype=complex)
+    vec = np.empty_like(lam)
+    for c in range(3):
+        lhat = scipy.fft.fftn(_full_pad(solver, lam[..., c]))
+        vec[..., c] = -solver.kappa**2 * scipy.fft.ifftn(
+            np.conj(solver.symbol) * lhat)[sl, sl, sl]
+        acc += np.conj(gsym[..., c]) * lhat
+    return vec, scipy.fft.ifftn(acc)[sl, sl, sl]
+
+
+class TestPrunedPotential:
+    """The axis-by-axis padded transforms against dense FFTs of the full
+    (2N)^3 pad."""
+
+    @staticmethod
+    def _rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    @pytest.mark.parametrize("n_grid", [8, 12, 16])
+    def test_matches_full_pad(self, n_grid):
+        solver = ScatteringSolver(bump_medium(CubeGrid(np.pi, n_grid)), KAPPA)
+        assert not hasattr(solver, "grad_symbol")
+        rng = np.random.default_rng(n_grid)
+        shape = (n_grid,) * 3
+        e, lam = _random(rng, shape + (3,)), _random(rng, shape + (3,))
+        q, p = _random(rng, shape), _random(rng, shape + (3,))
+        assert self._rel(solver.potential(e),
+                         oracle_potential(solver, e, solver.q, solver.p)) \
+            <= 1e-13
+        assert self._rel(solver.potential(e, q, p),
+                         oracle_potential(solver, e, q, p)) <= 1e-13
+        for got, want in zip(solver.potential_adjoint(lam),
+                             oracle_potential_adjoint(solver, lam)):
+            assert self._rel(got, want) <= 1e-13

@@ -350,6 +350,38 @@ class TestTikhonov:
         # admissibility is only flagged, not enforced; Re n stays safe here
         assert res.admissible_re
 
+    def test_one_solve_per_evaluation(self, monkeypatch):
+        # the start point, the accepted iterates and the final misfit reuse
+        # the evaluations L-BFGS made
+        import emiscat.inversion as inv
+        counts = {"state": 0, "gradient": 0}
+        nfev = []
+        lbfgs = inv.minimize
+
+        class CountedState(_ForwardState):
+            def __init__(self, *args):
+                counts["state"] += 1
+                super().__init__(*args)
+
+        def counted_gradient(state):
+            counts["gradient"] += 1
+            return misfit_gradient(state)
+
+        def counted_minimize(*args, **kwargs):
+            out = lbfgs(*args, **kwargs)
+            nfev.append(out.nfev)
+            return out
+
+        prob = small_problem(12)
+        truth = band_limited_index(prob.grid, 2.0, 0.06, seed=8)
+        prob = small_problem(12, data=exact_data(prob, truth))
+        monkeypatch.setattr(inv, "_ForwardState", CountedState)
+        monkeypatch.setattr(inv, "misfit_gradient", counted_gradient)
+        monkeypatch.setattr(inv, "minimize", counted_minimize)
+        res = tikhonov_reconstruct(prob, alpha=1e-4, maxiter=2)
+        assert counts == {"state": nfev[0], "gradient": nfev[0]}
+        assert len(res.history) == res.iterations + 1
+
     def test_invalid_alpha(self):
         prob = small_problem(12)
         with pytest.raises(ValueError):
