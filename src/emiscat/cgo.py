@@ -345,7 +345,8 @@ class CgoSolution:
     """Conjugated CGO fields on the cube of half-side 2R.
 
     The physical fields are E = e^{i zeta.x} u and H = e^{i zeta.x} h with
-    u = eta + f*zeta + V; only the bounded parts are stored.
+    u = eta + f*zeta + V; only the bounded parts are stored.  ``n_values``
+    is the refractive index resampled on the cube.
     """
 
     grid: CubeGrid
@@ -363,6 +364,7 @@ class CgoSolution:
     f_norm: float
     v_norm: float
     residual: float
+    n_values: np.ndarray
     contraction: list = field(default_factory=list)
 
     def remainder_norm(self) -> float:
@@ -442,4 +444,5 @@ def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, m_grid: int = 64,
     return CgoSolution(grid=med.grid, R=R, kappa=kappa, zeta=zeta, eta=eta,
                        t=op.t, e_prime=ea, h_prime=hb, f=f_field, V=v_field,
                        u=u, h=h, f_norm=f_norm, v_norm=v_norm,
-                       residual=resid, contraction=ratios)
+                       residual=resid, n_values=med.values,
+                       contraction=ratios)

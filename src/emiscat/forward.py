@@ -265,8 +265,23 @@ class ScatteringSolver:
     def _krylov(self, matvec, b, x0=None, context=None):
         """GMRES for matvec(x) = b at the solver's tolerance and iteration
         limits; checks the true residual and raises :class:`SolveError`
-        with the residual history and ``context`` on failure."""
-        op = LinearOperator((b.size, b.size), matvec=matvec, dtype=complex)
+        with the residual history and ``context`` on failure.
+
+        GMRES ends every restart cycle with a matvec at its iterate, so the
+        true residual of the returned x comes from that call, and only a
+        return without one (b = 0) costs an explicit matvec.  Either way
+        the last call to ``matvec`` is at the returned x."""
+        last = None  # (input, ||matvec(input) - b||) of the latest call
+
+        def recorded(v):
+            nonlocal last
+            last = None  # hold no copy while the potential runs
+            av = matvec(v)
+            # the norm, not av: GMRES's Arnoldi step overwrites av
+            last = v.copy(), np.linalg.norm(av - b)
+            return av
+
+        op = LinearOperator((b.size, b.size), matvec=recorded, dtype=complex)
         residuals = []
         x, info = gmres(op, b, x0=x0, rtol=self.rtol, atol=0.0,
                         restart=self.restart,
@@ -276,7 +291,10 @@ class ScatteringSolver:
             raise SolveError(f"GMRES did not converge (info={info})",
                              residuals=residuals, context=context)
         bnorm = np.linalg.norm(b)
-        resid = np.linalg.norm(matvec(x) - b)
+        if last is not None and np.array_equal(last[0], x):
+            resid = last[1]
+        else:
+            resid = np.linalg.norm(matvec(x) - b)
         if resid > 10 * self.rtol * bnorm:
             raise SolveError(f"residual {resid / bnorm:.2e} above tolerance",
                              residuals=residuals, context=context)

@@ -169,17 +169,23 @@ class _ForwardState:
         return mu, nu
 
     def adjoint_solve(self, rho, context=None):
-        """Solve (I - P)^H lambda = rho with the adjoint potential."""
+        """Solve (I - P)^H lambda = rho with the adjoint potential.
+
+        Returns lambda and its ``potential_adjoint`` (vec, sca), kept from
+        the solve's last matvec, which is at lambda."""
         s = self.solver
+        last = None
 
         def matvec(flat):
+            nonlocal last
             lam = flat.reshape(rho.shape)
-            vec, sca = s.potential_adjoint(lam)
+            last = None  # hold no copy while the potential runs
+            last = vec, sca = s.potential_adjoint(lam)
             return (lam - np.conj(s.q)[..., None] * vec
                     - np.conj(s.p) * sca[..., None]).ravel()
 
-        return s._krylov(matvec, rho.ravel(), context=context).reshape(
-            rho.shape)
+        lam = s._krylov(matvec, rho.ravel(), context=context)
+        return lam.reshape(rho.shape), last
 
 
 def _coeff_transpose(grid: CubeGrid, t_field):
@@ -204,8 +210,7 @@ def misfit_gradient(state: _ForwardState):
                                 state.columns.labels):
         mu, nu = state.measurement_adjoint(rows)
         rho = np.conj(s.q)[..., None] * mu + np.conj(s.p) * nu[..., None]
-        lam = state.adjoint_solve(rho, context=label)
-        vec, sca = s.potential_adjoint(lam)
+        _, (vec, sca) = state.adjoint_solve(rho, context=label)
         psi = mu + vec
         chi = nu + sca
         u = fld.values

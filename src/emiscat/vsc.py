@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cgo import MediumFields, cgo_solve, cgo_vectors, rotate_index, rotation_to_axis
+from .cgo import cgo_solve, cgo_vectors, rotate_index, rotation_to_axis
 from .forward import NearFieldData
 from .fourier import RefractiveIndex, SobolevParams, hm_inner, hm_norm
 
@@ -230,8 +230,7 @@ def cgo_pair_estimate(n1: RefractiveIndex, n2: RefractiveIndex, gamma,
     s2 = cgo_solve(n2r, rot @ v.zeta2, rot @ v.eta2, R, m_grid=m_grid,
                    kappa=kappa)
     grid = s1.grid
-    dn = (MediumFields(n1r, R, m_grid).values
-          - MediumFields(n2r, R, m_grid).values)
+    dn = s1.n_values - s2.n_values
     phase = np.exp(-1j * grid.points() @ (rot @ gamma))
     weight = dn * phase * grid.spacing**3
 

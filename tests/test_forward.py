@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.fft
 from scipy.integrate import quad
+from scipy.sparse.linalg import LinearOperator, gmres
 
+from emiscat import forward
 from emiscat.forward import (
     DataColumns,
     DipoleSource,
@@ -354,6 +356,87 @@ class TestFarFieldOperator:
             far_field_operator(bump_medium(grid), KAPPA, one, one, rtol=1e-30)
         assert err.value.context == (0, 0)
         assert len(err.value.residuals) > 0
+
+
+class TestKrylov:
+    """``_krylov`` takes the true residual from GMRES's own last matvec."""
+
+    @staticmethod
+    def _solver():
+        grid = CubeGrid(np.pi, 8)
+        return ScatteringSolver(bump_medium(grid), KAPPA)
+
+    @staticmethod
+    def _dense_system(size=40, seed=0):
+        rng = np.random.default_rng(seed)
+        a = np.eye(size) + 0.1 * _random(rng, (size, size)) / np.sqrt(size)
+        return a, _random(rng, size)
+
+    @staticmethod
+    def _counted(a):
+        calls = []
+
+        def matvec(v):
+            calls.append(1)
+            return a @ v
+        return matvec, calls
+
+    def test_no_matvec_beyond_gmres(self):
+        solver = self._solver()
+        a, b = self._dense_system()
+        matvec, calls = self._counted(a)
+        x = solver._krylov(matvec, b)
+        assert np.linalg.norm(a @ x - b) <= 10 * solver.rtol * np.linalg.norm(b)
+        own, own_calls = self._counted(a)
+        gmres(LinearOperator(a.shape, matvec=own, dtype=complex), b,
+              rtol=solver.rtol, atol=0.0, restart=solver.restart,
+              maxiter=solver.maxiter // solver.restart)
+        assert len(calls) == len(own_calls) > 0
+
+    def test_zero_rhs_explicit_matvec(self):
+        # GMRES returns b = 0 without a matvec; the check makes one
+        solver = self._solver()
+        a, _ = self._dense_system()
+        matvec, calls = self._counted(a)
+        x = solver._krylov(matvec, np.zeros(a.shape[0], dtype=complex))
+        assert np.all(x == 0)
+        assert len(calls) == 1
+
+    def test_wrong_solution_still_caught(self, monkeypatch):
+        # a GMRES that applies the operator to the exact solution but
+        # reports success for another x must not pass the true-residual check
+        a, b = self._dense_system()
+        exact = np.linalg.solve(a, b)
+
+        def lying_gmres(op, b, x0=None, callback=None, **kwargs):
+            op.matvec(exact)
+            callback(0.5)
+            return exact + 1.0, 0
+
+        monkeypatch.setattr(forward, "gmres", lying_gmres)
+        solver = self._solver()
+        with pytest.raises(SolveError, match="above tolerance") as err:
+            solver._krylov(self._counted(a)[0], b, context=(2, 1))
+        assert err.value.residuals == [0.5]
+        assert err.value.context == (2, 1)
+
+    def test_matvecs_per_solve(self, monkeypatch):
+        # one initial residual, four Arnoldi steps and GMRES's final
+        # residual, with no extra matvec for the check
+        grid = CubeGrid(np.pi, 16)
+        solver = ScatteringSolver(bump_medium(grid), KAPPA)
+        calls = []
+        matvec = ScatteringSolver._matvec
+
+        def counted(self, flat):
+            calls.append(1)
+            return matvec(self, flat)
+
+        monkeypatch.setattr(ScatteringSolver, "_matvec", counted)
+        pw = PlaneWave(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), KAPPA)
+        e = solver.solve(pw)
+        assert len(calls) == 6
+        assert solver.residual(e, pw) < 1e-7
 
 
 def _random(rng, shape):

@@ -311,6 +311,62 @@ class TestMisfitGradient:
         assert np.max(np.abs(grad)) > 0.0
         self._check_directions(prob, c0, seeds=(40,))
 
+    @staticmethod
+    def _count_adjoint_work(state):
+        """Count the adjoint solves' matvecs and ``potential_adjoint`` calls
+        on ``state``'s solver; forward solves are already done."""
+        s = state.solver
+        counts = {"matvec": 0, "potential_adjoint": 0}
+        krylov, potential_adjoint = s._krylov, s.potential_adjoint
+
+        def counted_krylov(matvec, *args, **kwargs):
+            def counted(v):
+                counts["matvec"] += 1
+                return matvec(v)
+            return krylov(counted, *args, **kwargs)
+
+        def counted_potential_adjoint(lam):
+            counts["potential_adjoint"] += 1
+            return potential_adjoint(lam)
+
+        s._krylov = counted_krylov
+        s.potential_adjoint = counted_potential_adjoint
+        return counts
+
+    def test_adjoint_potential_reused(self):
+        # the gradient takes potential_adjoint(lambda) from the adjoint
+        # solve's last matvec: no recompute per column, same bits
+        prob, c0 = self._setup("near")
+        state = _ForwardState(prob, ContrastMedium(grid=prob.grid, coeffs=c0))
+        counts = self._count_adjoint_work(state)
+        value, grad = misfit_gradient(state)
+        assert counts["matvec"] > len(state.columns.sources)
+        assert counts["potential_adjoint"] == counts["matvec"]
+
+        adjoint_solve = state.adjoint_solve
+
+        def recomputed(rho, context=None):
+            lam, _ = adjoint_solve(rho, context=context)
+            return lam, state.solver.potential_adjoint(lam)
+
+        state.adjoint_solve = recomputed
+        value2, grad2 = misfit_gradient(state)
+        assert value2 == value
+        assert np.array_equal(grad2, grad)
+
+    def test_exact_data_zero_gradient(self):
+        # rho = 0: each adjoint solve returns zero after one explicit matvec
+        prob = small_problem(12)
+        truth = band_limited_index(prob.grid, 2.0, 0.05, seed=6)
+        prob = small_problem(12, data=exact_data(prob, truth))
+        state = _ForwardState(prob, truth)
+        counts = self._count_adjoint_work(state)
+        value, grad = misfit_gradient(state)
+        assert value == 0.0
+        assert np.all(grad == 0)
+        assert counts["matvec"] == counts["potential_adjoint"] \
+            == len(state.columns.sources)
+
 
 class TestTikhonov:
     def test_exact_data_truth_init_stationary(self):

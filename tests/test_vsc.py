@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import spherical_jn
 
+from emiscat.cgo import MediumFields
 from emiscat.forward import (
     NearFieldData,
     SphereGrid,
@@ -17,6 +18,7 @@ from emiscat.fourier import BumpProfile, CubeGrid, make_test_index
 from emiscat.vsc import (
     ScheduleParams,
     boundary_operator_N,
+    cgo_pair_estimate,
     check_difftodata,
     check_fourier_diff,
     data_diff_norm,
@@ -295,6 +297,23 @@ class TestFourierDiff:
                                   R=R_DATA, kappa=KAPPA)
         drop = rep.samples[0].log_smooth_term - rep2.samples[0].log_smooth_term
         assert drop == pytest.approx(np.log(2.0), rel=1e-10)
+
+    def test_cgo_pair_one_medium_build_per_solve(self, monkeypatch):
+        # the pairing weight reads the index each CGO solve resampled
+        builds = []
+        init = MediumFields.__init__
+
+        def counted(self, *args):
+            builds.append(1)
+            init(self, *args)
+
+        n1 = bump_medium()
+        n2 = bump_medium(extra=((-0.6, 0.4, 0.2), 0.05, 1.0))
+        monkeypatch.setattr(MediumFields, "__init__", counted)
+        est, lead = cgo_pair_estimate(n1, n2, (1.0, 0.0, 0.0), t=15.0,
+                                      kappa=KAPPA, R=R_DATA, m_grid=32)
+        assert len(builds) == 2
+        assert np.isfinite(est) and np.isfinite(lead)
 
 
 class TestDiffToData:
