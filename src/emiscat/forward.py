@@ -31,8 +31,10 @@ from .fourier import CubeGrid, RefractiveIndex, inverse_fourier
 class SolveError(RuntimeError):
     """Krylov iteration failed to reach the requested residual.
 
-    ``residuals`` is the residual history; ``context`` is the (column, slot)
-    label of the failed solve's source in a data set, if it has one."""
+    ``residuals`` is the residual history; ``context`` labels the failed
+    solve, if it has a label: the (column, slot) of its source in a data
+    set for forward and linearized solves, the (receiver, component) row
+    for the adjoint solves of the inversion's Jacobian."""
 
     def __init__(self, message, residuals=None, context=None):
         super().__init__(message)
@@ -198,12 +200,17 @@ class ScatteringSolver:
         # derivative pairings need every node a perturbation may reach
         self.ball = grid.radii() < np.pi
         self._map = None  # (geometry key, ReceiverMap) of the last call
-        # symbol of the truncated kernel on the padded lattice; i*k along
-        # axis c as a broadcast 1-D vector; the grid's block along axis c
-        k = np.fft.fftfreq(self.M, d=1.0 / self.M) * (np.pi / (2 * np.pi))
-        xi = np.sqrt(k[:, None, None]**2 + k[None, :, None]**2
-                     + k[None, None, :]**2)
-        self.symbol = truncated_kernel_symbol(xi, self.kappa, 2.0 * np.pi)
+        # symbol of the truncated kernel on the padded lattice, k = j/2 with
+        # integer j: |k|^2 = s/4 for the integer s = |j|^2 <= 3N^2, so the
+        # symbol is evaluated once per s and gathered; i*k along axis c as a
+        # broadcast 1-D vector; the grid's block along axis c
+        j = np.r_[:N, -N:0]  # FFT layout of the 2N-point lattice
+        j2 = j * j
+        s = j2[:, None, None] + j2[None, :, None] + j2[None, None, :]
+        self.symbol = truncated_kernel_symbol(
+            np.sqrt(np.arange(3 * N * N + 1) / 4.0), self.kappa,
+            2.0 * np.pi)[s]
+        k = 0.5 * j
         self.ik = [1j * k.reshape(np.roll((-1, 1, 1), c)) for c in range(3)]
         self._block = [(slice(None),) * c + (slice(N // 2, N // 2 + N),)
                        for c in range(3)]
@@ -485,8 +492,7 @@ class DataColumns:
 
     ``pols`` (n_columns, n_slots, 3) holds their polarizations: source k has
     the label (column, slot) = divmod(k, n_slots), and data column c is
-    sum_slot rows (x) pols[c, slot].  The adjoint contracts each column with
-    the polarizations.
+    sum_slot rows (x) pols[c, slot].
     """
 
     def __init__(self, sources, pols):
@@ -512,14 +518,10 @@ class DataColumns:
                     for t in ts], pols)
 
     def assemble(self, rows):
-        """Data matrices (n_rec, n_columns, 3, 3) from per-source rows."""
+        """Data matrices (n_rec, n_columns, 3, 3, ...) from per-source rows
+        (n_rec, 3, ...); trailing axes are carried along."""
         rows = np.reshape(rows, self.pols.shape[:2] + np.shape(rows[0]))
-        return np.einsum("csxi,csj->xcij", rows, self.pols)
-
-    def split(self, mats):
-        """Adjoint of :meth:`assemble`: per-source (n_rec, 3) rows."""
-        return np.einsum("xcij,csj->csxi", mats, self.pols).reshape(
-            (-1, mats.shape[0], 3))
+        return np.einsum("csxi...,csj->xcij...", rows, self.pols)
 
 
 def _solve_columns(solver, columns: DataColumns, measure):

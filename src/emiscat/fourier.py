@@ -279,15 +279,3 @@ class RefractiveIndex:
         if self.smoothness is None:
             raise ValueError("no smoothness metadata recorded")
         return hm_norm(self.coeffs, self.smoothness.s, self.grid)
-
-    def hm(self, m: float) -> float:
-        """H^m norm of the contrast n - 1."""
-        return hm_norm(self.coeffs, m, self.grid)
-
-    def resample(self, grid: CubeGrid) -> "RefractiveIndex":
-        """Evaluate the same medium on another grid (profile media only)."""
-        if self.profile is None:
-            raise ValueError("resampling requires an analytic profile")
-        values = 1.0 + self.profile.contrast(grid.points())
-        return RefractiveIndex(grid=grid, values=values, b=self.b,
-                               smoothness=self.smoothness, profile=self.profile)

@@ -3,10 +3,13 @@
 The unknown is the truncated Fourier coefficient vector of the contrast
 n - 1 (frequencies |gamma| <= gamma_max).  The data misfit uses the same
 surface-measure norms as the data containers; the penalty is the H^m norm
-of the contrast.  Gradients are computed by the adjoint method: one
-forward and one adjoint Lippmann-Schwinger solve per measurement source,
-with the chain rule through both medium-dependent coefficients (the
-contrast q = 1 - n and the logarithmic gradient p = grad(n)/n).
+of the contrast.  The functional is minimized by a damped Gauss-Newton
+iteration on the complex Jacobian J of the data in the coefficients.  J
+comes from the adjoint method: the data are linear in the measurement, so
+one adjoint Lippmann-Schwinger solve per receiver row (x, c) pairs with the
+retained forward field of every source, with the chain rule through both
+medium-dependent coefficients (the contrast q = 1 - n and the logarithmic
+gradient p = grad(n)/n).  The misfit gradient is J^H W r.
 
 Admissibility (Re n >= b, Im n >= 0, support in B(pi)) is not enforced
 during optimization, only checked on the returned iterate.
@@ -17,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.fft
-from scipy.optimize import minimize
+import scipy.linalg
+from scipy.optimize import OptimizeResult, minimize
 
-from .forward import DataColumns, ScatteringSolver
+from .forward import DataColumns, ScatteringSolver, SolveError
 from .fourier import CubeGrid, RefractiveIndex, hm_norm, inverse_fourier
 
 
@@ -126,7 +129,8 @@ def alpha_rule(delta: float, A: float, nu: float) -> float:
 
 
 class _ForwardState:
-    """Solver plus retained total fields for every measurement source."""
+    """Solver plus retained total fields for every measurement source; the
+    data Jacobian is built on first use and kept."""
 
     def __init__(self, problem: InverseProblem, medium):
         self.problem = problem
@@ -145,6 +149,7 @@ class _ForwardState:
                        zip(self.columns.sources, self.columns.labels)]
         self.matrices = self.columns.assemble(
             [self._measure_rows(f.values) for f in self.fields])
+        self._jac = None
 
     def _measure_rows(self, e_values):
         """Linear measurement of one field: (n_rec, 3) rows."""
@@ -156,6 +161,65 @@ class _ForwardState:
             return (d.receivers.weights[:, None] * d.sources.weights[None, :]
                     * d.receivers.radius**2 * d.sources.radius**2)
         return d.receivers.weights[:, None] * d.incidences.weights[None, :]
+
+    def misfit(self):
+        """Weighted misfit sum w |F - d|^2 and the weighted residual W r,
+        shaped like the data matrices."""
+        w = self.measurement_weights()[..., None, None]
+        diff = self.matrices - self.problem.data.matrices
+        return float(np.sum(w * np.abs(diff) ** 2)), w * diff
+
+    def jacobian(self):
+        """Complex Jacobian of the data matrices in the masked coefficients:
+        (n_data, n_c), rows in the order of ``matrices.ravel()``.
+
+        The rows are linear in the measurement, so one adjoint solve per
+        receiver row (x, c), with the source-free right-hand side
+        ``measurement_adjoint(e_(x,c))``, pairs with every source field to
+        give that row's derivatives; the data columns then mix the sources
+        by their polarizations.  Each adjoint pair is paired as soon as it
+        is solved, so one is alive at a time."""
+        if self._jac is None:
+            n_rec = self.matrices.shape[0]
+            transpose = _CoeffTranspose(self.problem.grid,
+                                        self.problem.coeff_mask())
+            rows = np.empty((len(self.fields), n_rec, 3, len(transpose.ik[0])),
+                            dtype=complex)
+            for x, c in np.ndindex(n_rec, 3):
+                rows[:, x, c] = self._pairings(*self._row_adjoint(x, c),
+                                               transpose)
+            self._jac = self.columns.assemble(rows).reshape(
+                -1, rows.shape[-1])
+        return self._jac
+
+    def _row_adjoint(self, x, c):
+        """Conjugated adjoint pair (psi, chi) of receiver row (x, c): the
+        fields paired with (q E, p.E) by the measurement and the adjoint
+        solve, whose failure carries (x, c) as context."""
+        s = self.solver
+        unit = np.zeros(self.matrices.shape[:1] + (3,))
+        unit[x, c] = 1.0
+        mu, nu = self.measurement_adjoint(unit)
+        rho = np.conj(s.q)[..., None] * mu + np.conj(s.p) * nu[..., None]
+        _, (vec, sca) = self.adjoint_solve(rho, context=(x, c))
+        return np.conj(mu + vec), np.conj(nu + sca)
+
+    def _pairings(self, psi_c, chi_c, transpose):
+        """Masked coefficient derivatives (n_src, n_c) of one receiver row
+        from its conjugated adjoint pair: every source field u against it,
+        with the chain rule through q = 1 - n and p = grad(n)/n."""
+        s = self.solver
+        chi_n = chi_c / s.n.values  # paired with u in dp
+        w = psi_c + s.p * chi_n[..., None]  # paired with u in dq and dp
+        out = np.empty((len(self.fields), len(transpose.ik[0])), dtype=complex)
+        t = np.empty((4,) + chi_n.shape, dtype=complex)
+        for k, fld in enumerate(self.fields):
+            u = fld.values
+            t[0] = -np.einsum("...c,...c->...", u, w)
+            t[1:] = np.moveaxis(u, -1, 0) * chi_n
+            L = transpose(t)
+            out[k] = L[0] + sum(ik * l for ik, l in zip(transpose.ik, L[1:]))
+        return out
 
     def measurement_adjoint(self, rows):
         """Adjoint of the measurement map: residual rows -> (mu, nu) fields.
@@ -188,42 +252,40 @@ class _ForwardState:
         return lam.reshape(rho.shape), last
 
 
-def _coeff_transpose(grid: CubeGrid, t_field):
-    """Map a grid field T to L with sum_x IF(A)(x) T(x) = sum_k A_k L_k."""
-    g1, g2, g3 = grid.gammas()
-    phase = (-1.0) ** (g1 + g2 + g3)
-    scale = grid.spacing**3 / (2.0 * np.pi) ** 1.5
-    return phase / (scale * grid.n**3) * np.conj(scipy.fft.fftn(np.conj(t_field)))
+class _CoeffTranspose:
+    """Transpose of the inverse Fourier map onto the masked coefficients.
+
+    Maps grid fields T (leading axes a batch) to L (..., n_c) with
+    sum_x IF(A)(x) T(x) = sum_k A_k L_k for every A supported on ``mask``,
+    by three 1-D partial DFTs over the frequencies -r..r the mask reaches.
+    ``ik`` holds i times the physical frequency along each axis at the
+    masked coefficients: the symbols of the spectral derivatives."""
+
+    def __init__(self, grid: CubeGrid, mask):
+        gam = [g[mask].astype(np.intp) for g in grid.gammas()]
+        r = int(max(np.max(np.abs(g)) for g in gam))
+        self.index = [g + r for g in gam]
+        self.dft = np.exp(2j * np.pi / grid.n * np.arange(grid.n)[:, None]
+                          * np.arange(-r, r + 1))
+        scale = grid.spacing**3 / (2.0 * np.pi) ** 1.5
+        self.factor = (-1.0) ** sum(gam) / (scale * grid.n**3)
+        self.ik = [1j * f[mask] for f in grid.frequencies()]
+
+    def __call__(self, t_field):
+        x = t_field @ self.dft  # (..., a, b, g3)
+        x = np.swapaxes(x, -1, -2) @ self.dft  # (..., a, g3, g2)
+        x = np.swapaxes(x, -3, -1) @ self.dft  # (..., g2, g3, g1)
+        i1, i2, i3 = self.index
+        return self.factor * x[..., i2, i3, i1]
 
 
 def misfit_gradient(state: _ForwardState):
-    """Value and complex coefficient gradient of the weighted data misfit."""
-    prob = state.problem
-    w = state.measurement_weights()
-    diff = state.matrices - prob.data.matrices
-    value = float(np.sum(w[..., None, None] * np.abs(diff) ** 2))
-    res = w[..., None, None] * diff
-    s = state.solver
-    a_q = np.zeros((prob.grid.n,) * 3, dtype=complex)
-    a_p = np.zeros((prob.grid.n,) * 3 + (3,), dtype=complex)
-    for fld, rows, label in zip(state.fields, state.columns.split(res),
-                                state.columns.labels):
-        mu, nu = state.measurement_adjoint(rows)
-        rho = np.conj(s.q)[..., None] * mu + np.conj(s.p) * nu[..., None]
-        _, (vec, sca) = state.adjoint_solve(rho, context=label)
-        psi = mu + vec
-        chi = nu + sca
-        u = fld.values
-        a_q += np.einsum("...c,...c->...", u, np.conj(psi))
-        a_p += u * np.conj(chi)[..., None]
-    nvals = state.solver.n.values
-    p_field = -a_q - np.einsum("...c,...c->...", s.p, a_p) / nvals
-    q_c = a_p / nvals[..., None]
-    L = _coeff_transpose(prob.grid, p_field)
-    g1, g2, g3 = prob.grid.frequencies()
-    for c, g in enumerate((g1, g2, g3)):
-        L += 1j * g * _coeff_transpose(prob.grid, q_c[..., c])
-    return value, np.conj(L)
+    """Value and complex coefficient gradient J^H W r of the weighted data
+    misfit; the gradient is full-lattice and zero off ``coeff_mask()``."""
+    value, res = state.misfit()
+    grad = np.zeros((state.problem.grid.n,) * 3, dtype=complex)
+    grad[state.problem.coeff_mask()] = state.jacobian().conj().T @ res.ravel()
+    return value, grad
 
 
 def frechet_apply(problem: InverseProblem, medium, h_coeffs) -> np.ndarray:
@@ -266,64 +328,178 @@ class ReconstructionResult:
     monotone: bool = True
 
 
+# relative decrease, predicted by the Gauss-Newton model, at which the
+# iteration counts as converged; the functional itself is only as accurate
+# as the forward solves (GMRES rtol 1e-8 by default)
+FTOL = 1e-10
+
+
+def _gauss_newton(fun, x0, args, jac, hess, callback, maxiter, gtol, damping,
+                  **_):
+    """Damped Newton iteration as a ``scipy.optimize.minimize`` method.
+
+    ``hess`` is a model Hessian (Gauss-Newton here).  A step solves
+    (hess + mu diag(damping)) s = -jac and is accepted only if ``fun`` does
+    not increase; mu starts at 0, is raised tenfold (to 1 from 0) on
+    rejection and lowered tenfold on acceptance.  Stops when the largest
+    gradient entry is at most ``gtol`` or the model's predicted decrease is
+    at most ``FTOL * max(|f|, 1)`` (converged), or after ``maxiter``
+    accepted steps.  ``jac`` and ``hess`` are called once per accepted
+    iterate, right after it is accepted."""
+    x = np.asarray(x0, dtype=float)
+    f = fun(x, *args)
+    d = np.diag(damping)
+    nfev, njev, nit, mu = 1, 0, 0, 0.0
+    status, message = 1, "maximum number of iterations reached"
+    while nit < maxiter:
+        g, h = jac(x, *args), hess(x, *args)
+        njev += 1
+        if np.max(np.abs(g)) <= gtol:
+            status, message = 0, "gradient below gtol"
+            break
+        while True:
+            step = scipy.linalg.solve(h + mu * d, -g, assume_a="pos")
+            if -(g @ step) - 0.5 * step @ h @ step <= FTOL * max(abs(f), 1.0):
+                status, message = 0, "predicted decrease below FTOL"
+                break
+            f_new = fun(x + step, *args)
+            nfev += 1
+            if f_new <= f:
+                break
+            mu = 10.0 * mu if mu else 1.0
+        if status == 0:
+            break
+        x, f = x + step, f_new
+        nit += 1
+        mu /= 10.0
+        if callback is not None:
+            callback(x)
+    return OptimizeResult(x=x, fun=f, nit=nit, nfev=nfev, njev=njev,
+                          nhev=njev, status=status, success=status == 0,
+                          message=message)
+
+
+class _Evaluations:
+    """The Tikhonov functional, its real gradient and its Gauss-Newton
+    Hessian at real iterates z = (Re c, Im c) of the masked coefficients.
+
+    Scalars, gradient and Hessian are kept per iterate.  Only the latest
+    new iterate's forward state, which holds the fields, is kept, until its
+    Jacobian is built: the minimizer asks for derivatives at an iterate
+    right after accepting it."""
+
+    def __init__(self, problem: InverseProblem, alpha: float):
+        self.problem = problem
+        self.alpha = alpha
+        self.mask = problem.coeff_mask()
+        self.weights = (1.0 + problem.grid.gamma_norm2()[self.mask]) \
+            ** problem.m
+        self.points = {}  # iterate bytes -> {"f", "mis", "pen"[, "jac", "hess"]}
+        self.latest = None, None  # (iterate bytes, _ForwardState)
+
+    def unpack(self, z):
+        c = z[:z.size // 2] + 1j * z[z.size // 2:]
+        full = np.zeros((self.problem.grid.n,) * 3, dtype=complex)
+        full[self.mask] = c
+        return c, full
+
+    def _state(self, z):
+        return _ForwardState(self.problem, ContrastMedium(
+            grid=self.problem.grid, coeffs=self.unpack(z)[1]))
+
+    def point(self, z):
+        key = z.tobytes()
+        if key not in self.points:
+            self.latest = None, None  # free the previous fields first
+            state = self._state(z)
+            self.latest = key, state
+            mis, _ = state.misfit()
+            c = self.unpack(z)[0]
+            pen = 0.5 * float(np.sum(self.weights * np.abs(c) ** 2))
+            self.points[key] = {"f": mis / self.alpha + pen, "mis": mis,
+                                "pen": pen}
+        return self.points[key]
+
+    def fun(self, z):
+        return self.point(z)["f"]
+
+    def _derivatives(self, z):
+        pt = self.point(z)
+        if "jac" not in pt:
+            key, state = self.latest
+            self.latest = None, None
+            if key != z.tobytes():
+                state = self._state(z)
+            _, grad = misfit_gradient(state)
+            c = self.unpack(z)[0]
+            g = grad[self.mask] / self.alpha + 0.5 * self.weights * c
+            pt["jac"] = np.concatenate([2.0 * g.real, 2.0 * g.imag])
+            jac = state.jacobian()
+            w = np.broadcast_to(state.measurement_weights()[..., None, None],
+                                state.matrices.shape).ravel()
+            a = (jac.conj().T * w) @ jac / self.alpha \
+                + 0.5 * np.diag(self.weights)
+            pt["hess"] = 2.0 * np.block([[a.real, -a.imag],
+                                         [a.imag, a.real]])
+        return pt
+
+    def jac(self, z):
+        return self._derivatives(z)["jac"]
+
+    def hess(self, z):
+        return self._derivatives(z)["hess"]
+
+
 def tikhonov_reconstruct(problem: InverseProblem, alpha: float,
                          init_coeffs=None, maxiter: int = 60,
                          gtol: float = 1e-6) -> ReconstructionResult:
     """Minimize (1/alpha) * misfit^2 + (1/2) * ||n - 1||_{H^m}^2.
 
     Works on the truncated coefficient vector (complex entries as real
-    pairs) with an L-BFGS quasi-Newton iteration and adjoint gradients."""
+    pairs) with a damped Gauss-Newton iteration (:func:`_gauss_newton`
+    through ``scipy.optimize.minimize``): the model Hessian is
+    J^H W J / alpha + (1/2) diag(w) with the complex data Jacobian J and the
+    H^m weights w, damped by mu diag(w).  Each trial iterate costs one
+    forward solve per source; each accepted iterate one Jacobian, which
+    costs one adjoint solve per receiver row: 3 n_rec for near data and
+    3 n_x for far data (fine for small direction grids).  ``history`` holds
+    the functional at accepted iterates, which never increases.
+
+    A :class:`SolveError` is re-raised naming the Gauss-Newton iteration
+    (the number of steps accepted before it) and keeps the failed solve's
+    ``context``."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    grid = problem.grid
-    mask = problem.coeff_mask()
-    n_c = int(np.sum(mask))
-    weights = (1.0 + grid.gamma_norm2()[mask]) ** problem.m
-
-    def unpack(z):
-        c = z[:n_c] + 1j * z[n_c:]
-        full = np.zeros((grid.n,) * 3, dtype=complex)
-        full[mask] = c
-        return c, full
-
-    evals = {}  # iterate bytes -> (functional, gradient, misfit^2, penalty)
-
-    def evaluate(z):
-        key = z.tobytes()
-        if key not in evals:
-            c, full = unpack(z)
-            state = _ForwardState(problem,
-                                  ContrastMedium(grid=grid, coeffs=full))
-            mis, grad_c = misfit_gradient(state)
-            pen = 0.5 * float(np.sum(weights * np.abs(c) ** 2))
-            g = grad_c[mask] / alpha + 0.5 * weights * c
-            evals[key] = (mis / alpha + pen,
-                          np.concatenate([2.0 * g.real, 2.0 * g.imag]), mis,
-                          pen)
-        return evals[key]
-
+    ev = _Evaluations(problem, alpha)
     if init_coeffs is None:
-        z0 = np.zeros(2 * n_c)
+        z0 = np.zeros(2 * int(np.sum(ev.mask)))
     else:
-        c0 = np.asarray(init_coeffs)[mask]
+        c0 = np.asarray(init_coeffs)[ev.mask]
         z0 = np.concatenate([c0.real, c0.imag])
-    history = [evaluate(z0)[0]]
-    out = minimize(lambda z: evaluate(z)[:2], z0, jac=True,
-                   method="L-BFGS-B",
-                   callback=lambda zk: history.append(evaluate(zk)[0]),
-                   options={"maxiter": maxiter, "gtol": gtol,
-                            "ftol": 1e-14})
-    _, full = unpack(out.x)
-    med = ContrastMedium(grid=grid, coeffs=full)
-    val, _, mis, pen = evaluate(out.x)
+    history = []
+    try:
+        history.append(ev.fun(z0))
+        out = minimize(ev.fun, z0, jac=ev.jac, hess=ev.hess,
+                       method=_gauss_newton,
+                       callback=lambda zk: history.append(ev.fun(zk)),
+                       options={"maxiter": maxiter, "gtol": gtol,
+                                "damping": np.concatenate([ev.weights] * 2)})
+    except SolveError as err:
+        raise SolveError(
+            f"Gauss-Newton iteration {max(len(history) - 1, 0)}: {err}",
+            residuals=err.residuals, context=err.context) from err
+    full = ev.unpack(out.x)[1]
+    med = ContrastMedium(grid=problem.grid, coeffs=full)
+    pt = ev.point(out.x)
     ok_re, ok_im = med.admissible(problem.b)
     monotone = all(b <= a * (1.0 + 1e-12) + 1e-14
                    for a, b in zip(history, history[1:]))
     return ReconstructionResult(
-        coeffs=full, medium=med, functional=val,
-        misfit=np.sqrt(mis), penalty=pen, converged=bool(out.success),
-        iterations=int(out.nit), admissible_re=ok_re, admissible_im=ok_im,
-        history=history, monotone=monotone)
+        coeffs=full, medium=med, functional=pt["f"],
+        misfit=np.sqrt(pt["mis"]), penalty=pt["pen"],
+        converged=bool(out.success), iterations=int(out.nit),
+        admissible_re=ok_re, admissible_im=ok_im, history=history,
+        monotone=monotone)
 
 
 @dataclass

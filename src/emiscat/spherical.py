@@ -79,10 +79,6 @@ class FarCoeffs:
     def index(l, k):
         return l * l + l + k
 
-    def degrees(self):
-        """Degree l for each flat index."""
-        return np.repeat(np.arange(self.L + 1), 2 * np.arange(self.L + 1) + 1)
-
     def frobenius_sum(self) -> float:
         return float(np.sum(np.abs(self.alpha) ** 2))
 

@@ -181,11 +181,6 @@ class FourierDiffReport:
     samples: list = field(default_factory=list)
     log_m3: float = -np.inf
 
-    @property
-    def m3(self) -> float:
-        """Fitted constant (may underflow to 0; use log_m3 for comparisons)."""
-        return float(np.exp(self.log_m3))
-
     def violations(self) -> int:
         """Samples exceeding the fitted bound (0 by construction of the fit)."""
         return int(sum(s.log_ratio > self.log_m3 + 1e-12 for s in self.samples))

@@ -130,6 +130,17 @@ class TestKernelSymbol:
         with pytest.raises(ValueError):
             helmholtz_kernel(np.zeros(3), KAPPA)
 
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_solver_symbol_matches_full_lattice(self, n):
+        # the solver evaluates the symbol once per distinct |xi|^2; the
+        # oracle evaluates it at every point of the padded lattice
+        solver = ScatteringSolver(bump_medium(CubeGrid(np.pi, n)), KAPPA)
+        k = np.fft.fftfreq(2 * n, d=1.0 / (2 * n)) * (np.pi / (2 * np.pi))
+        xi = np.sqrt(k[:, None, None]**2 + k[None, :, None]**2
+                     + k[None, None, :]**2)
+        full = truncated_kernel_symbol(xi, KAPPA, 2.0 * np.pi)
+        assert np.array_equal(solver.symbol, full)
+
 
 class TestSolver:
     def test_vacuum_identity(self):
@@ -482,12 +493,15 @@ class TestAdjointIdentities:
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     def test_column_layout(self):
+        # the layout's adjoint written out per source: rows (x, i) of the
+        # column contracted with the source's polarization
         rng = np.random.default_rng(4)
         cols = DataColumns.plane_waves(SphereGrid.build(1.0, 2, 2), KAPPA)
         rows = [_random(rng, (5, 3)) for _ in cols.sources]
         mats = _random(rng, (5, cols.pols.shape[0], 3, 3))
         lhs = _inner(cols.assemble(rows), mats)
-        rhs = sum(_inner(r, m) for r, m in zip(rows, cols.split(mats)))
+        rhs = sum(_inner(r, mats[:, c] @ cols.pols[c, s])
+                  for r, (c, s) in zip(rows, cols.labels))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 

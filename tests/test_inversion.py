@@ -21,7 +21,7 @@ from emiscat.inversion import (
     ContrastMedium,
     InverseProblem,
     RateStudy,
-    _coeff_transpose,
+    _CoeffTranspose,
     _ForwardState,
     add_noise,
     alpha_rule,
@@ -188,13 +188,17 @@ class TestBandLimitedIndex:
 
 class TestCoeffTranspose:
     def test_transpose_identity(self):
+        # on the whole lattice and on a gamma_max = 2 mask
         grid = CubeGrid(np.pi, 8)
         rng = np.random.default_rng(0)
         a = rng.standard_normal((8, 8, 8)) + 1j * rng.standard_normal((8, 8, 8))
         t = rng.standard_normal((8, 8, 8)) + 1j * rng.standard_normal((8, 8, 8))
-        lhs = np.sum(inverse_fourier(a, grid) * t)
-        rhs = np.sum(a * _coeff_transpose(grid, t))
-        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+        for mask in (np.ones((8, 8, 8), dtype=bool),
+                     grid.gamma_norm2() <= 4.0):
+            a_mask = np.where(mask, a, 0.0)
+            lhs = np.sum(inverse_fourier(a_mask, grid) * t)
+            rhs = np.sum(a[mask] * _CoeffTranspose(grid, mask)(t))
+            assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
 class TestForwardState:
@@ -291,7 +295,7 @@ class TestMisfitGradient:
 
     def test_adjoint_nonconvergence_context(self):
         # one GMRES iteration cannot reach the tolerance: the failure names
-        # the (source, polarization) label and keeps its residual history
+        # the (receiver, component) row label and keeps its residual history
         prob = small_problem(8)
         med = band_limited_index(prob.grid, 2.0, 0.05, seed=1)
         state = _ForwardState(prob, med)
@@ -313,13 +317,15 @@ class TestMisfitGradient:
 
     @staticmethod
     def _count_adjoint_work(state):
-        """Count the adjoint solves' matvecs and ``potential_adjoint`` calls
-        on ``state``'s solver; forward solves are already done."""
+        """Count the adjoint solves, their matvecs and ``potential_adjoint``
+        calls on ``state``'s solver; forward solves are already done."""
         s = state.solver
-        counts = {"matvec": 0, "potential_adjoint": 0}
+        counts = {"solve": 0, "matvec": 0, "potential_adjoint": 0}
         krylov, potential_adjoint = s._krylov, s.potential_adjoint
 
         def counted_krylov(matvec, *args, **kwargs):
+            counts["solve"] += 1
+
             def counted(v):
                 counts["matvec"] += 1
                 return matvec(v)
@@ -343,6 +349,8 @@ class TestMisfitGradient:
         assert counts["matvec"] > len(state.columns.sources)
         assert counts["potential_adjoint"] == counts["matvec"]
 
+        # the Jacobian is kept on the state, so recompute on a fresh one
+        state = _ForwardState(prob, ContrastMedium(grid=prob.grid, coeffs=c0))
         adjoint_solve = state.adjoint_solve
 
         def recomputed(rho, context=None):
@@ -355,7 +363,8 @@ class TestMisfitGradient:
         assert np.array_equal(grad2, grad)
 
     def test_exact_data_zero_gradient(self):
-        # rho = 0: each adjoint solve returns zero after one explicit matvec
+        # r = 0 gives J^H W r = 0 exactly; the Jacobian costs one adjoint
+        # solve per receiver row, whatever the residual
         prob = small_problem(12)
         truth = band_limited_index(prob.grid, 2.0, 0.05, seed=6)
         prob = small_problem(12, data=exact_data(prob, truth))
@@ -364,8 +373,31 @@ class TestMisfitGradient:
         value, grad = misfit_gradient(state)
         assert value == 0.0
         assert np.all(grad == 0)
-        assert counts["matvec"] == counts["potential_adjoint"] \
-            == len(state.columns.sources)
+        assert counts["potential_adjoint"] == counts["matvec"]
+        assert counts["solve"] == 3 * prob.data.receivers.nodes.shape[0]
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("kind", ["near", "far"])
+    def test_matches_frechet_apply(self, kind):
+        # J h over the masked coefficients against the linearized solves
+        prob = small_problem(12, kind=kind)
+        med = band_limited_index(prob.grid, 2.0, 0.05, seed=1)
+        state = _ForwardState(prob, med)
+        jac = state.jacobian()
+        mask = prob.coeff_mask()
+        assert jac.shape == (state.matrices.size, int(mask.sum()))
+        for seed in (10, 11):
+            h = random_direction(prob.grid, 2.0, seed)
+            jh = (jac @ h[mask]).reshape(state.matrices.shape)
+            ref = frechet_apply(prob, med, h)
+            assert np.linalg.norm(jh - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    def test_built_once(self):
+        prob = small_problem(8)
+        state = _ForwardState(prob, band_limited_index(prob.grid, 2.0, 0.05,
+                                                       seed=1))
+        assert state.jacobian() is state.jacobian()
 
 
 class TestTikhonov:
@@ -386,6 +418,7 @@ class TestTikhonov:
         init = band_limited_index(prob.grid, 2.0, 0.05, seed=7).coeffs
         res = tikhonov_reconstruct(prob, alpha=1e8, init_coeffs=init,
                                    maxiter=40)
+        assert res.monotone
         assert hm_norm(res.coeffs, prob.m, prob.grid) \
             <= 1e-3 * hm_norm(init, prob.m, prob.grid)
         assert res.functional <= weighted_misfit(
@@ -406,27 +439,30 @@ class TestTikhonov:
         # admissibility is only flagged, not enforced; Re n stays safe here
         assert res.admissible_re
 
-    def test_one_solve_per_evaluation(self, monkeypatch):
-        # the start point, the accepted iterates and the final misfit reuse
-        # the evaluations L-BFGS made
+    def test_gauss_newton_counts(self, monkeypatch):
+        # a forward state per functional evaluation, one gradient and one
+        # Jacobian per accepted iterate whose step is computed
         import emiscat.inversion as inv
-        counts = {"state": 0, "gradient": 0}
-        nfev = []
-        lbfgs = inv.minimize
+        counts = {"state": 0, "gradient": 0, "jacobian": 0}
+        outs = []
+        gauss_newton = inv.minimize
 
         class CountedState(_ForwardState):
             def __init__(self, *args):
                 counts["state"] += 1
                 super().__init__(*args)
 
+            def jacobian(self):
+                counts["jacobian"] += self._jac is None
+                return super().jacobian()
+
         def counted_gradient(state):
             counts["gradient"] += 1
             return misfit_gradient(state)
 
         def counted_minimize(*args, **kwargs):
-            out = lbfgs(*args, **kwargs)
-            nfev.append(out.nfev)
-            return out
+            outs.append(gauss_newton(*args, **kwargs))
+            return outs[-1]
 
         prob = small_problem(12)
         truth = band_limited_index(prob.grid, 2.0, 0.06, seed=8)
@@ -435,8 +471,48 @@ class TestTikhonov:
         monkeypatch.setattr(inv, "misfit_gradient", counted_gradient)
         monkeypatch.setattr(inv, "minimize", counted_minimize)
         res = tikhonov_reconstruct(prob, alpha=1e-4, maxiter=2)
-        assert counts == {"state": nfev[0], "gradient": nfev[0]}
+        out, = outs
+        assert out.nit == res.iterations == 2
+        assert counts == {"state": out.nfev, "gradient": out.njev,
+                          "jacobian": out.njev}
+        assert (out.nfev, out.njev) == (3, 2)
         assert len(res.history) == res.iterations + 1
+        assert res.monotone
+
+    def test_solve_failure_names_iteration(self):
+        # an unreachable tolerance fails the first forward solve at the
+        # start point; the error names the iteration and keeps the label
+        prob = small_problem(8)
+        truth = band_limited_index(prob.grid, 2.0, 0.05, seed=6)
+        prob = small_problem(8, data=exact_data(prob, truth))
+        prob.rtol = 1e-30
+        with pytest.raises(SolveError) as err:
+            tikhonov_reconstruct(prob, alpha=1e-4, maxiter=2)
+        assert "Gauss-Newton iteration 0" in str(err.value)
+        assert err.value.context == (0, 0)
+        assert len(err.value.residuals) > 0
+
+    def test_jacobian_failure_names_iteration(self, monkeypatch):
+        # the first accepted trial iterate's Jacobian adjoint solves cannot
+        # converge: the error names iteration 1 and the receiver row
+        import emiscat.inversion as inv
+        built = []
+
+        class FailingState(_ForwardState):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+                if len(built) == 2:
+                    self.solver.restart = self.solver.maxiter = 1
+
+        prob = small_problem(8)
+        truth = band_limited_index(prob.grid, 2.0, 0.06, seed=8)
+        prob = small_problem(8, data=exact_data(prob, truth))
+        monkeypatch.setattr(inv, "_ForwardState", FailingState)
+        with pytest.raises(SolveError) as err:
+            tikhonov_reconstruct(prob, alpha=1e-4, maxiter=3)
+        assert "Gauss-Newton iteration 1" in str(err.value)
+        assert err.value.context == (0, 0)
 
     def test_invalid_alpha(self):
         prob = small_problem(12)
