@@ -36,7 +36,6 @@ from .cgo import (
     cgo_solve,
     cgo_vectors,
     q_bound,
-    rotate_index,
     rotation_to_axis,
     t_min,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "read_data",
     "read_far_coeffs",
     "read_field",
-    "rotate_index",
     "rotation_to_axis",
     "schedule",
     "t_min",

@@ -8,6 +8,11 @@ lattice, the 6x6 potential matrix Q couples the fields, and a Neumann
 iteration solves the fixed-point system (contraction factor <= 1/2 once
 t exceeds the explicit threshold t_min).
 
+G_zeta is diagonal only for Im(zeta) along e_z.  Every other direction is
+reached by a rotation rot: the caller passes rot @ zeta and rot @ eta, and
+the medium is sampled in the rotated frame, n(rot^T x), directly at the
+CGO-cube points through ``RefractiveIndex.contrast_at``.
+
 The factor e^{i zeta.x} itself is never evaluated: at the relevant t it
 overflows by thousands of orders of magnitude.  All stored fields are the
 bounded conjugated parts.
@@ -107,67 +112,27 @@ def rotation_to_axis(a1, a2, ghat) -> np.ndarray:
     return rot
 
 
-def _eval_contrast(coeffs, grid: CubeGrid, points) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of the contrast at arbitrary
-    points (P, 3); chunked triple contraction, O(P * N^3) flops."""
-    g = np.fft.fftfreq(grid.n, d=1.0 / grid.n) * (np.pi / grid.half_side)
-    out = np.empty(points.shape[0], dtype=complex)
-    for lo in range(0, points.shape[0], 512):
-        p = points[lo:lo + 512]
-        e1, e2, e3 = (np.exp(1j * np.outer(p[:, c], g)) for c in range(3))
-        tmp = np.einsum("ijk,pk->pij", coeffs, e3, optimize=True)
-        tmp = np.einsum("pij,pj->pi", tmp, e2, optimize=True)
-        out[lo:lo + 512] = np.einsum("pi,pi->p", tmp, e1, optimize=True)
-    return out / (2.0 * np.pi) ** 1.5
-
-
-def rotate_index(n: RefractiveIndex, rotation) -> RefractiveIndex:
-    """The same medium expressed in a rotated frame, n'(x) = n(rot^T x).
-
-    Profile media are re-evaluated in closed form (exact).  Generic media
-    use trigonometric interpolation, feasible only for small grids.
-    """
-    rot = np.asarray(rotation, dtype=float)
-    if np.max(np.abs(rot @ rot.T - np.eye(3))) > 1e-10:
-        raise ValueError("rotation must be orthogonal")
-    grid = n.grid
-    if n.profile is not None:
-        prof = n.profile
-        centers = tuple(tuple(rot @ np.asarray(c, dtype=float))
-                        for c in prof.centers)
-        rotated = type(prof)(centers=centers, amplitudes=prof.amplitudes,
-                             widths=prof.widths)
-        values = 1.0 + rotated.contrast(grid.points())
-        return RefractiveIndex(grid=grid, values=values, b=n.b,
-                               smoothness=n.smoothness, profile=rotated)
-    if grid.n > 24:
-        raise ValueError("generic rotation needs a profile medium above N=24")
-    # aliasing guard: the top coefficient shell must be negligible
-    g2 = grid.gamma_norm2()
-    top = g2 >= (grid.n // 2 - 1) ** 2
-    tail = np.sum(np.abs(n.coeffs[top]) ** 2)
-    total = np.sum(np.abs(n.coeffs) ** 2)
-    if total > 0 and tail > 1e-2 * total:
-        raise ValueError("medium is not band-limited enough to rotate")
-    pts = (grid.points() @ rot).reshape(-1, 3)  # rows rot^T x
-    contrast = _eval_contrast(n.coeffs, grid, pts).reshape((grid.n,) * 3)
-    values = 1.0 + contrast
-    return RefractiveIndex(grid=grid, values=values, b=n.b,
-                           smoothness=n.smoothness)
-
-
 class MediumFields:
-    """Derivative fields of a refractive index on the large CGO cube."""
+    """Derivative fields of a refractive index on the large CGO cube.
 
-    def __init__(self, n: RefractiveIndex, R: float, m_grid: int):
+    ``rotation`` rot (orthogonal; the identity when None) maps the
+    medium's frame to the CGO frame, so the cube holds n'(x) = n(rot^T x).
+    """
+
+    def __init__(self, n: RefractiveIndex, R: float, m_grid: int,
+                 kappa: float, rotation=None):
         if R <= np.pi:
             raise ValueError("require R > pi")
         self.R = float(R)
+        self.kappa = float(kappa)
         self.grid = CubeGrid(2.0 * R, m_grid)
-        if n.profile is not None:
-            vals = 1.0 + n.profile.contrast(self.grid.points())
-        else:
-            vals = self._resample_generic(n)
+        points = self.grid.points()
+        if rotation is not None:
+            rot = np.asarray(rotation, dtype=float)
+            if np.max(np.abs(rot @ rot.T - np.eye(3))) > 1e-10:
+                raise ValueError("rotation must be orthogonal")
+            points = points @ rot  # rows rot^T x
+        vals = 1.0 + n.contrast_at(points)
         if np.min(vals.real) < n.b - 1e-8:
             raise ValueError("resampled Re(n) dips below b")
         self.values = vals
@@ -193,21 +158,6 @@ class MediumFields:
         # n^{-1/2} Delta n^{1/2}, the scalar zeroth-order piece of Q
         self.helm_scalar = self.inv_sqrt_n * self.lap_sqrt
 
-    def _resample_generic(self, n: RefractiveIndex):
-        """Tensor-product trigonometric evaluation of n on the big grid,
-        zero contrast outside C(pi)."""
-        axis = self.grid.axis()
-        gam = np.fft.fftfreq(n.grid.n, d=1.0 / n.grid.n)  # integer lattice
-        inside = np.abs(axis) < np.pi
-        xi = axis[inside]
-        mat = np.exp(1j * np.outer(xi, gam))
-        small = np.einsum("ai,bj,ck,ijk->abc", mat, mat, mat, n.coeffs,
-                          optimize=True) / (2.0 * np.pi) ** 1.5
-        out = np.zeros((self.grid.n,) * 3, dtype=complex)
-        idx = np.ix_(inside, inside, inside)
-        out[idx] = small
-        return 1.0 + out
-
     def q_apply(self, A, B):
         """Action of the 6x6 potential matrix Q on a field pair (A, B)."""
         k2q = self.kappa**2 * (1.0 - self.values)
@@ -220,15 +170,11 @@ class MediumFields:
                + 1j * self.kappa * self.inv_sqrt_n[..., None] * np.cross(gn, A))
         return top, bot
 
-    def attach_kappa(self, kappa: float):
-        self.kappa = float(kappa)
-        return self
-
 
 def q_matrix(n: RefractiveIndex, R: float, m_grid: int, kappa: float):
     """Explicit 6x6 potential matrix field on the CGO cube (heavy; prefer
     the action form for solves)."""
-    med = MediumFields(n, R, m_grid).attach_kappa(kappa)
+    med = MediumFields(n, R, m_grid, kappa)
     shape = (med.grid.n,) * 3
     q = np.zeros(shape + (6, 6), dtype=complex)
     k2q = kappa**2 * (1.0 - med.values)
@@ -254,28 +200,27 @@ def q_matrix(n: RefractiveIndex, R: float, m_grid: int, kappa: float):
 class FaddeevOperator:
     """Periodic Faddeev-type inverse G_zeta on the cube of half-side 2R.
 
-    Diagonal on the half-integer-shifted lattice along the Im(zeta) axis;
-    the shift keeps every denominator away from zero by pi*t/(2R).
+    Diagonal on the lattice shifted by one half along e_z, the axis that
+    Im(zeta) must lie on; the shift keeps every denominator away from zero
+    by pi*t/(2R).
     """
 
-    def __init__(self, zeta, grid: CubeGrid, axis: int = 2):
+    def __init__(self, zeta, grid: CubeGrid):
         zeta = np.asarray(zeta, dtype=complex)
         im = zeta.imag
         t = np.linalg.norm(im)
         if t <= 0:
             raise ValueError("Im(zeta) must be nonzero")
-        if abs(abs(im[axis]) - t) > 1e-9 * t:
-            raise CgoError("Im(zeta) is not aligned with the designated axis")
+        if abs(abs(im[2]) - t) > 1e-9 * t:
+            raise CgoError("Im(zeta) is not aligned with e_z")
         self.zeta = zeta
         self.t = t
         self.grid = grid
-        self.axis = axis
         rpp = grid.half_side  # R'' = 2R
         base = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
-        shift = [base.copy() for _ in range(3)]
-        shift[axis] = shift[axis] + 0.5
         scale = np.pi / rpp
-        x1, x2, x3 = np.meshgrid(*(scale * s for s in shift), indexing="ij")
+        x1, x2, x3 = np.meshgrid(scale * base, scale * base,
+                                 scale * (base + 0.5), indexing="ij")
         xi2 = x1**2 + x2**2 + x3**2
         denom = xi2 + 2.0 * (zeta[0] * x1 + zeta[1] * x2 + zeta[2] * x3)
         floor = np.pi * t / rpp
@@ -284,12 +229,8 @@ class FaddeevOperator:
             raise CgoError(f"denominator {dmin:.3e} under floor {floor:.3e}")
         self.denominator_min = dmin
         self.symbol = 1.0 / denom
-        ax = grid.axis()
-        s = np.pi / (2.0 * rpp)
-        mod = np.exp(-1j * s * ax)  # along the shifted axis only
-        shape = [1, 1, 1]
-        shape[axis] = grid.n
-        self._demod = mod.reshape(shape)
+        # shape (N,): broadcasts along the last, shifted axis only
+        self._demod = np.exp(-1j * (np.pi / (2.0 * rpp)) * grid.axis())
         self._remod = np.conj(self._demod)
 
     def __call__(self, f):
@@ -309,7 +250,7 @@ class FaddeevOperator:
         out = np.empty(f.shape + (3,), dtype=complex)
         scale = np.pi / rpp
         for c in range(3):
-            sh = base + (0.5 if c == self.axis else 0.0)
+            sh = base + (0.5 if c == 2 else 0.0)
             shape = [1, 1, 1]
             shape[c] = self.grid.n
             xi = scale * sh.reshape(shape)
@@ -346,7 +287,7 @@ class CgoSolution:
 
     The physical fields are E = e^{i zeta.x} u and H = e^{i zeta.x} h with
     u = eta + f*zeta + V; only the bounded parts are stored.  ``n_values``
-    is the refractive index resampled on the cube.
+    is the refractive index sampled on the cube in the rotated frame.
     """
 
     grid: CubeGrid
@@ -355,8 +296,6 @@ class CgoSolution:
     zeta: np.ndarray
     eta: np.ndarray
     t: float
-    e_prime: np.ndarray
-    h_prime: np.ndarray
     f: np.ndarray
     V: np.ndarray
     u: np.ndarray
@@ -378,12 +317,13 @@ def _ball_l2(values, grid: CubeGrid, radius: float) -> float:
 
 
 def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, m_grid: int = 64,
-              kappa: float | None = None, axis: int = 2, tol: float = 1e-11,
+              kappa: float | None = None, rotation=None, tol: float = 1e-11,
               max_iter: int = 80) -> CgoSolution:
     """Solve the conjugated CGO system and assemble the remainder parts.
 
-    ``zeta`` must satisfy zeta.zeta = kappa^2 with Im(zeta) along ``axis``
-    (rotate the medium, not the operator, to arrange this).
+    ``zeta`` must satisfy zeta.zeta = kappa^2 with Im(zeta) along e_z.  For
+    any other direction pass ``rot @ zeta`` and ``rot @ eta`` together with
+    the ``rotation`` rot: the medium, not the operator, is rotated.
     """
     zeta = np.asarray(zeta, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
@@ -394,8 +334,8 @@ def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, m_grid: int = 64,
         raise CgoError("zeta.zeta != kappa^2")
     if abs(zeta @ eta) > 1e-8 * zn * np.linalg.norm(eta):
         raise CgoError("zeta.eta != 0")
-    med = MediumFields(n, R, m_grid).attach_kappa(kappa)
-    op = FaddeevOperator(zeta, med.grid, axis=axis)
+    med = MediumFields(n, R, m_grid, kappa, rotation)
+    op = FaddeevOperator(zeta, med.grid)
     f1, f2 = cgo_rhs(med, op, zeta, eta, kappa)
     ea, hb = f1.copy(), f2.copy()
     prev_delta = None
@@ -442,7 +382,6 @@ def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, m_grid: int = 64,
     resid = (_ball_l2(np.linalg.norm(r1, axis=-1), med.grid, rball)
              + _ball_l2(np.linalg.norm(r2, axis=-1), med.grid, rball)) / scale
     return CgoSolution(grid=med.grid, R=R, kappa=kappa, zeta=zeta, eta=eta,
-                       t=op.t, e_prime=ea, h_prime=hb, f=f_field, V=v_field,
-                       u=u, h=h, f_norm=f_norm, v_norm=v_norm,
-                       residual=resid, n_values=med.values,
-                       contraction=ratios)
+                       t=op.t, f=f_field, V=v_field, u=u, h=h,
+                       f_norm=f_norm, v_norm=v_norm, residual=resid,
+                       n_values=med.values, contraction=ratios)

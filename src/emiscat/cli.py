@@ -22,7 +22,7 @@ import numpy as np
 import scipy.fft
 
 from . import io as containers
-from .cgo import cgo_solve, cgo_vectors, rotate_index, rotation_to_axis
+from .cgo import cgo_solve, cgo_vectors, rotation_to_axis
 from .forward import (
     PlaneWave,
     ScatteringSolver,
@@ -66,7 +66,6 @@ class ExperimentConfig:
     L: int | None
     m: float
     s: float
-    theta: float | None
     profile: str
     bump: BumpProfile
     b: float
@@ -129,7 +128,6 @@ def load_config(path) -> ExperimentConfig:
     R = get("physics", "r", 1.2 * np.pi, float)
     m = get("smoothness", "m", 4.0, float)
     s = get("smoothness", "s", 6.0, float)
-    theta = get("smoothness", "theta", None, float)
     # parameter guards; each rejection names the violated constraint
     if R <= np.pi:
         raise ConfigError(f"guard violated: R = {R} but the measurement "
@@ -143,9 +141,6 @@ def load_config(path) -> ExperimentConfig:
     if abs(s - (2.0 * m + 1.5)) < 1e-12:
         raise ConfigError(f"guard violated: s = {s} = 2m + 3/2 is the "
                           "excluded exceptional case (requires s != 2m + 3/2)")
-    if theta is not None and not 0.0 < theta < 1.0:
-        raise ConfigError(f"guard violated: theta = {theta} but the "
-                          "far-field interpolation requires 0 < theta < 1")
 
     bump = BumpProfile(
         centers=_triples(get("medium", "centers", "")),
@@ -160,7 +155,7 @@ def load_config(path) -> ExperimentConfig:
         n_theta=get("grids", "n_theta", 2, int),
         n_phi=get("grids", "n_phi", 4, int),
         L=get("grids", "l", None, int),
-        m=m, s=s, theta=theta,
+        m=m, s=s,
         profile=get("medium", "profile", "vacuum"),
         bump=bump,
         b=get("medium", "b", 0.5, float),
@@ -246,6 +241,13 @@ def build_medium(cfg: ExperimentConfig, grid: CubeGrid, seed: int):
     raise ConfigError(f"unknown medium profile {cfg.profile!r}")
 
 
+def _require_bump_profile(cfg: ExperimentConfig, kind: str):
+    """Reject media without a closed-form bump profile."""
+    if cfg.profile not in ("vacuum", "bump"):
+        raise ConfigError(f"{kind} runs do not support [medium] profile = "
+                          f"{cfg.profile!r}; use 'vacuum' or 'bump'")
+
+
 def _noise_seeds(cfg: ExperimentConfig, master: int, count: int):
     if cfg.seeds:
         if len(cfg.seeds) < count:
@@ -305,16 +307,14 @@ def run_farfield(cfg, ws: Workspace):
 def run_cgo(cfg, ws: Workspace):
     if cfg.cgo_t is None or not cfg.cgo_gamma:
         raise ConfigError("cgo runs need [cgo] gamma and t")
-    if cfg.profile not in ("vacuum", "bump"):
-        raise ConfigError(f"cgo runs do not support [medium] profile = "
-                          f"{cfg.profile!r}; use 'vacuum' or 'bump'")
+    _require_bump_profile(cfg, "cgo")
     grid = CubeGrid(np.pi, cfg.n)
     medium = build_medium(cfg, grid, ws.seed)
     gamma = np.asarray(cfg.cgo_gamma, dtype=float)
     v = cgo_vectors(gamma, cfg.cgo_t, cfg.kappa)
     rot = rotation_to_axis(v.a1, v.a2, gamma / np.linalg.norm(gamma))
-    sol = cgo_solve(rotate_index(medium, rot), rot @ v.zeta1, rot @ v.eta1,
-                    cfg.R, m_grid=cfg.cgo_m_grid, kappa=cfg.kappa)
+    sol = cgo_solve(medium, rot @ v.zeta1, rot @ v.eta1, cfg.R,
+                    m_grid=cfg.cgo_m_grid, kappa=cfg.kappa, rotation=rot)
     containers.write_field(ws.path("cgo_u.fld"), sol.u, sol.grid,
                            kind="cgo-electric-profile")
     ws.record("cgo_u.fld")
@@ -332,9 +332,9 @@ def run_cgo(cfg, ws: Workspace):
 
 
 def run_vsc_check(cfg, ws: Workspace):
+    _require_bump_profile(cfg, "vsc-check")
     grid = CubeGrid(np.pi, cfg.n)
-    base = make_test_index(cfg.bump if cfg.profile == "bump" else BumpProfile(),
-                           grid, b=cfg.b, smoothness=cfg.smoothness)
+    base = build_medium(cfg, grid, ws.seed)
     sphere = SphereGrid.build(cfg.R, cfg.n_theta, cfg.n_phi)
     w_base = near_field_operator(base, cfg.kappa, sphere)
     rng = np.random.default_rng(ws.seed)
@@ -344,9 +344,9 @@ def run_vsc_check(cfg, ws: Workspace):
         width = rng.uniform(1.0, 1.6)
         amp = cfg.vsc_amplitude * rng.uniform(0.5, 1.0)
         prof = BumpProfile(
-            centers=cfg.bump.centers + (tuple(center),),
-            amplitudes=cfg.bump.amplitudes + (amp,),
-            widths=cfg.bump.widths + (width,))
+            centers=base.profile.centers + (tuple(center),),
+            amplitudes=base.profile.amplitudes + (amp,),
+            widths=base.profile.widths + (width,))
         member = make_test_index(prof, grid, b=cfg.b,
                                  smoothness=cfg.smoothness)
         family.append(member)

@@ -457,12 +457,16 @@ class NearFieldData:
     matrices: np.ndarray  # (n_rec, n_src, 3, 3)
     part: str = "scattered"
 
+    def weights(self) -> np.ndarray:
+        """Surface-measure weights (n_rec, n_src) on R S^2 x R S^2."""
+        return (self.receivers.weights[:, None] * self.sources.weights[None, :]
+                * self.receivers.radius**2 * self.sources.radius**2)
+
     def norm(self) -> float:
         """L2 norm over R S^2 x R S^2 with surface measure (R^4 factor)."""
-        w = (self.receivers.weights[:, None] * self.sources.weights[None, :]
-             * self.receivers.radius**2 * self.sources.radius**2)
-        return float(np.sqrt(np.sum(w * np.sum(np.abs(self.matrices) ** 2,
-                                               axis=(2, 3)))))
+        return float(np.sqrt(np.sum(self.weights()
+                                    * np.sum(np.abs(self.matrices) ** 2,
+                                             axis=(2, 3)))))
 
 
 @dataclass
@@ -473,10 +477,14 @@ class FarFieldData:
     incidences: SphereGrid  # d grid (radius 1)
     matrices: np.ndarray  # (n_x, n_d, 3, 3)
 
+    def weights(self) -> np.ndarray:
+        """Quadrature weights (n_x, n_d) on S^2 x S^2."""
+        return self.receivers.weights[:, None] * self.incidences.weights[None, :]
+
     def norm(self) -> float:
-        w = self.receivers.weights[:, None] * self.incidences.weights[None, :]
-        return float(np.sqrt(np.sum(w * np.sum(np.abs(self.matrices) ** 2,
-                                               axis=(2, 3)))))
+        return float(np.sqrt(np.sum(self.weights()
+                                    * np.sum(np.abs(self.matrices) ** 2,
+                                             axis=(2, 3)))))
 
 
 def tangent_frame(d):

@@ -279,3 +279,27 @@ class RefractiveIndex:
         if self.smoothness is None:
             raise ValueError("no smoothness metadata recorded")
         return hm_norm(self.coeffs, self.smoothness.s, self.grid)
+
+    def contrast_at(self, points: np.ndarray) -> np.ndarray:
+        """Evaluate n - 1 at arbitrary points, shape (..., 3) -> (...).
+
+        Profile media use the closed form.  Otherwise the trigonometric
+        interpolant of the samples is summed inside the cube (chunked,
+        O(P * N^3) flops) and the contrast is 0 outside it.
+        """
+        if self.profile is not None:
+            return self.profile.contrast(points)
+        flat = points.reshape(-1, 3)
+        inside = np.flatnonzero(np.all(np.abs(flat) < self.grid.half_side,
+                                       axis=-1))
+        g = np.fft.fftfreq(self.grid.n, d=1.0 / self.grid.n) \
+            * (np.pi / self.grid.half_side)
+        out = np.zeros(flat.shape[0], dtype=complex)
+        for lo in range(0, inside.size, 512):
+            idx = inside[lo:lo + 512]
+            e1, e2, e3 = (np.exp(1j * np.outer(flat[idx, c], g))
+                          for c in range(3))
+            tmp = np.einsum("ijk,pk->pij", self.coeffs, e3, optimize=True)
+            tmp = np.einsum("pij,pj->pi", tmp, e2, optimize=True)
+            out[idx] = np.einsum("pi,pi->p", tmp, e1, optimize=True)
+        return (out / UNITARY_FACTOR).reshape(points.shape[:-1])

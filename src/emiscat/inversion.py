@@ -156,11 +156,7 @@ class _ForwardState:
         return self.map.apply(*self.solver.densities(e_values))
 
     def measurement_weights(self):
-        d = self.problem.data
-        if self.problem.kind == "near":
-            return (d.receivers.weights[:, None] * d.sources.weights[None, :]
-                    * d.receivers.radius**2 * d.sources.radius**2)
-        return d.receivers.weights[:, None] * d.incidences.weights[None, :]
+        return self.problem.data.weights()
 
     def misfit(self):
         """Weighted misfit sum w |F - d|^2 and the weighted residual W r,

@@ -156,9 +156,10 @@ def near_far_bound(far_diff_norm: float, theta: float, omega: float,
     return rho**2 * np.exp(-((-np.log(u)) ** theta))
 
 
-def psi_near(t, A: float, nu: float):
-    """Logarithmic index function A * (ln(3 + 1/t))**(-2 nu)."""
-    t = np.asarray(t, dtype=float)
+def psi_near(t: float, A: float, nu: float) -> float:
+    """Logarithmic index function A * (ln(3 + 1/t))**(-2 nu), 0 for t <= 0."""
+    if t <= 0:
+        return 0.0
     return A * np.log(3.0 + 1.0 / t) ** (-2.0 * nu)
 
 
@@ -175,25 +176,3 @@ def psi_compose(t: float, A: float, nu: float, theta: float, omega: float,
         return 0.0
     phi = near_far_bound(float(np.sqrt(t)), theta, omega, rho)
     return float(psi_near(phi, A, nu))
-
-
-@dataclass(frozen=True)
-class IndexFunction:
-    """Concave-logarithmic index function, one of the three shapes used by
-    the stability analysis."""
-
-    kind: str  # psi_near | phi_far | psi_far
-    params: dict
-
-    def __post_init__(self):
-        if self.kind not in ("psi_near", "phi_far", "psi_far"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-
-    def __call__(self, t):
-        p = self.params
-        if self.kind == "psi_near":
-            return float(psi_near(t, p["A"], p["nu"]))
-        if self.kind == "phi_far":
-            return near_far_bound(float(np.sqrt(t)), p["theta"], p["omega"],
-                                  p["rho"])
-        return psi_compose(t, p["A"], p["nu"], p["theta"], p["omega"], p["rho"])

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cgo import cgo_solve, cgo_vectors, rotate_index, rotation_to_axis
+from .cgo import cgo_solve, cgo_vectors, rotation_to_axis
 from .forward import NearFieldData
 from .fourier import RefractiveIndex, SobolevParams, hm_inner, hm_norm
+from .spherical import psi_near
 
 UNITARY = (2.0 * np.pi) ** 1.5
 
@@ -218,12 +219,10 @@ def cgo_pair_estimate(n1: RefractiveIndex, n2: RefractiveIndex, gamma,
     g = np.linalg.norm(gamma)
     v = cgo_vectors(gamma, t, kappa)
     rot = rotation_to_axis(v.a1, v.a2, gamma / g)
-    n1r = rotate_index(n1, rot)
-    n2r = rotate_index(n2, rot)
-    s1 = cgo_solve(n1r, rot @ v.zeta1, rot @ v.eta1, R, m_grid=m_grid,
-                   kappa=kappa)
-    s2 = cgo_solve(n2r, rot @ v.zeta2, rot @ v.eta2, R, m_grid=m_grid,
-                   kappa=kappa)
+    s1 = cgo_solve(n1, rot @ v.zeta1, rot @ v.eta1, R, m_grid=m_grid,
+                   kappa=kappa, rotation=rot)
+    s2 = cgo_solve(n2, rot @ v.zeta2, rot @ v.eta2, R, m_grid=m_grid,
+                   kappa=kappa, rotation=rot)
     grid = s1.grid
     dn = s1.n_values - s2.n_values
     phase = np.exp(-1j * grid.points() @ (rot @ gamma))
@@ -305,12 +304,6 @@ class VscReport:
         return int(sum(s.margin < -1e-12 for s in self.samples))
 
 
-def psi_log(t: float, A: float, nu: float) -> float:
-    if t <= 0:
-        return 0.0
-    return A * np.log(3.0 + 1.0 / t) ** (-2.0 * nu)
-
-
 def vsc_check(n_dagger: RefractiveIndex, family, misfits, m: float,
               nu: float, beta: float = 0.5, family_id: str = "",
               ) -> VscReport:
@@ -348,5 +341,5 @@ def vsc_check(n_dagger: RefractiveIndex, family, misfits, m: float,
             # Cauchy-Schwarz: lhs <= cs * dist <= dist^2 / 4 = quad alone
             s.margin = s.quad_term - s.lhs
         else:
-            s.margin = s.quad_term + psi_log(s.misfit_sq, A, nu) - s.lhs
+            s.margin = s.quad_term + psi_near(s.misfit_sq, A, nu) - s.lhs
     return VscReport(family=family_id, beta=beta, nu=nu, A=A, samples=samples)

@@ -11,7 +11,6 @@ from emiscat.cgo import (
     cgo_vectors,
     q_bound,
     q_matrix,
-    rotate_index,
     rotation_to_axis,
     t_min,
 )
@@ -102,33 +101,42 @@ class TestRotation:
         assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(rot @ v.a1 - np.array([0, 0, 1.0]))) < 1e-12
 
-    def test_profile_round_trip(self):
+    def test_profile_matches_rotated_centers(self):
+        # closed-form oracle: n(rot^T x) is the profile with centres rot c
         n = bump_medium(n_grid=16)
         v = cgo_vectors(np.array([0.0, 1.0, 1.0]), 15.0, 1.0)
         rot = rotation_to_axis(v.a1, v.a2, v.gamma / np.sqrt(2.0))
-        back = rotate_index(rotate_index(n, rot), rot.T)
-        assert np.max(np.abs(back.values - n.values)) < 1e-12
+        med = MediumFields(n, R_CGO, 32, KAPPA, rot)
+        prof = n.profile
+        rotated = BumpProfile(
+            centers=tuple(tuple(rot @ np.asarray(c)) for c in prof.centers),
+            amplitudes=prof.amplitudes, widths=prof.widths)
+        expected = 1.0 + rotated.contrast(med.grid.points())
+        assert np.max(np.abs(med.values - expected)) < 1e-12
 
     def test_generic_matches_profile(self):
+        # a genuine rotation, not a permutation of the axes
         n = bump_medium(n_grid=16, width=1.8)
         plain = RefractiveIndex(grid=n.grid, values=n.values, b=n.b)
-        rot = rotation_to_axis(*[r for r in np.eye(3)[[1, 2, 0]]])
-        a = rotate_index(n, rot)
-        b = rotate_index(plain, rot)
+        gamma = np.array([1.0, -1.0, 1.0])
+        v = cgo_vectors(gamma, 15.0, KAPPA)
+        rot = rotation_to_axis(v.a1, v.a2, gamma / np.linalg.norm(gamma))
+        a = MediumFields(n, R_CGO, 32, KAPPA, rot)
+        b = MediumFields(plain, R_CGO, 32, KAPPA, rot)
         # generic path uses trigonometric interpolation: aliasing-level match
         assert np.max(np.abs(a.values - b.values)) < 1e-2
 
     def test_non_orthogonal(self):
         n = bump_medium(n_grid=16)
-        with pytest.raises(ValueError):
-            rotate_index(n, np.diag([1.0, 2.0, 1.0]))
+        with pytest.raises(ValueError, match="orthogonal"):
+            MediumFields(n, R_CGO, 16, KAPPA, np.diag([1.0, 2.0, 1.0]))
 
 
 class TestFaddeev:
     def test_diagonal_mode(self):
         grid = CubeGrid(2.0 * R_CGO, 16)
         zeta, _ = axis_aligned_zeta(12.0)
-        op = FaddeevOperator(zeta, grid, axis=2)
+        op = FaddeevOperator(zeta, grid)
         k = np.array([1.0, -2.0, 3.5])  # half-integer along the shift axis
         xi = (np.pi / grid.half_side) * k
         f = np.exp(1j * grid.points() @ xi)
@@ -139,7 +147,7 @@ class TestFaddeev:
         # (Laplacian + 2 i zeta . grad) G_zeta f = -f on the samples
         grid = CubeGrid(2.0 * R_CGO, 16)
         zeta, _ = axis_aligned_zeta(9.0)
-        op = FaddeevOperator(zeta, grid, axis=2)
+        op = FaddeevOperator(zeta, grid)
         rng = np.random.default_rng(3)
         f = (rng.standard_normal((16,) * 3)
              + 1j * rng.standard_normal((16,) * 3))
@@ -154,7 +162,7 @@ class TestFaddeev:
         rng = np.random.default_rng(8)
         for t in (20.0, 40.0):
             zeta, _ = axis_aligned_zeta(t)
-            op = FaddeevOperator(zeta, grid, axis=2)
+            op = FaddeevOperator(zeta, grid)
             bound = grid.half_side / (np.pi * t)
             assert op.denominator_min >= 1.0 / bound * (1 - 1e-12)
             for _ in range(10):
@@ -167,26 +175,26 @@ class TestFaddeev:
         grid = CubeGrid(2.0 * R_CGO, 8)
         zeta = np.array([1j * 10.0, 0.0, np.sqrt(101.0)])  # Im along e_x
         with pytest.raises(CgoError):
-            FaddeevOperator(zeta, grid, axis=2)
+            FaddeevOperator(zeta, grid)
 
 
 class TestMediumFields:
     def test_resample_paths_agree(self):
         n = bump_medium(n_grid=24, width=1.8)
         plain = RefractiveIndex(grid=n.grid, values=n.values, b=n.b)
-        a = MediumFields(n, R_CGO, 16)
-        b = MediumFields(plain, R_CGO, 16)
+        a = MediumFields(n, R_CGO, 16, KAPPA)
+        b = MediumFields(plain, R_CGO, 16, KAPPA)
         assert np.max(np.abs(a.values - b.values)) < 1e-2
 
     def test_vacuum_outside_support(self):
-        med = MediumFields(bump_medium(n_grid=16), R_CGO, 24)
+        med = MediumFields(bump_medium(n_grid=16), R_CGO, 24, KAPPA)
         outside = med.grid.radii() > np.pi + 0.3
         assert np.max(np.abs(med.values[outside] - 1.0)) < 1e-10
 
     def test_q_matrix_matches_action(self):
         n = bump_medium(n_grid=16)
         q, grid = q_matrix(n, R_CGO, 16, KAPPA)
-        med = MediumFields(n, R_CGO, 16).attach_kappa(KAPPA)
+        med = MediumFields(n, R_CGO, 16, KAPPA)
         rng = np.random.default_rng(2)
         A = rng.standard_normal((16, 16, 16, 3)) + 0j
         B = rng.standard_normal((16, 16, 16, 3)) + 0j
@@ -233,8 +241,8 @@ class TestCgoSolve:
         v = cgo_vectors(np.array([1.0, 1.0, 0.0]), 25.0, KAPPA)
         ghat = v.gamma / np.linalg.norm(v.gamma)
         rot = rotation_to_axis(v.a1, v.a2, ghat)
-        sol = cgo_solve(rotate_index(n, rot), rot @ v.zeta1, rot @ v.eta1,
-                        R_CGO, m_grid=32)
+        sol = cgo_solve(n, rot @ v.zeta1, rot @ v.eta1, R_CGO, m_grid=32,
+                        rotation=rot)
         assert sol.residual < 1e-3
 
     def test_bad_inputs(self):
@@ -257,8 +265,7 @@ class TestCgoSolve:
         rot = rotation_to_axis(v.a1, v.a2, gamma / np.linalg.norm(gamma))
         zeta, eta = rot @ v.zeta1, rot @ v.eta1
         assert abs(zeta @ zeta - KAPPA**2) > 1e-8
-        cgo_solve(rotate_index(n, rot), zeta, eta, R_CGO, m_grid=16,
-                  kappa=KAPPA)
+        cgo_solve(n, zeta, eta, R_CGO, m_grid=16, kappa=KAPPA, rotation=rot)
         wrong = zeta + np.array([1e-6 * t, 0.0, 0.0])
         with pytest.raises(CgoError, match="zeta.zeta"):
             cgo_solve(n, wrong, eta, R_CGO, m_grid=16, kappa=KAPPA)

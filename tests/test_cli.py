@@ -73,12 +73,6 @@ s = 9.5
         with pytest.raises(ConfigError, match="s > m"):
             load_config(cfg)
 
-    def test_theta_guard(self, tmp_path):
-        cfg = write_config(tmp_path / "c.ini",
-                           "[smoothness]\nm = 4.0\ns = 6.0\ntheta = 1.5\n")
-        with pytest.raises(ConfigError, match="0 < theta < 1"):
-            load_config(cfg)
-
     def test_missing_config(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(str(tmp_path / "absent.ini"))
@@ -223,6 +217,20 @@ amplitude = 0.02
         with open(out / "vsc_samples.csv") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 3  # header + 2 members
+
+    @pytest.mark.parametrize("profile", ["bandlimited", "bumpp"])
+    def test_vsc_check_rejects_profile(self, tmp_path, capsys, profile):
+        cfg = write_config(tmp_path / "c.ini", BASE + f"""
+[medium]
+profile = {profile}
+
+[vsc]
+members = 2
+""")
+        out = tmp_path / "o"
+        assert main(["vsc-check", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{profile!r}" in capsys.readouterr().err
+        assert not (out / "vsc_summary.json").exists()
 
 
 class TestInversionPipelines:

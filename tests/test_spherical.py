@@ -7,7 +7,6 @@ from scipy.special import spherical_jn, spherical_yn
 from emiscat.forward import FarFieldData, SphereGrid
 from emiscat.spherical import (
     FarCoeffs,
-    IndexFunction,
     far_coeffs,
     harmonic_table,
     near_far_bound,
@@ -196,25 +195,10 @@ class TestPsiCompose:
         assert np.all(np.isfinite(ratios))
         assert max(ratios) < 50.0
 
-
-class TestIndexFunction:
-    def test_kinds(self):
-        f = IndexFunction("psi_near", {"A": 2.0, "nu": 0.5})
-        assert f(0.1) == pytest.approx(float(psi_near(0.1, 2.0, 0.5)))
-        g = IndexFunction("phi_far", {"theta": 0.5, "omega": 1.0, "rho": 1.0})
-        assert g(np.exp(-18.0)) == pytest.approx(np.exp(-3.0), rel=1e-12)
-        h = IndexFunction("psi_far", {"A": 1.0, "nu": 0.3, "theta": 0.5,
-                                      "omega": 1.0, "rho": 1.0})
-        assert h(1e-6) == pytest.approx(psi_compose(1e-6, 1.0, 0.3, 0.5, 1.0, 1.0))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            IndexFunction("mystery", {})
-
     def test_vanishing_at_zero(self):
-        for f in (IndexFunction("psi_near", {"A": 1.0, "nu": 0.4}),
-                  IndexFunction("psi_far", {"A": 1.0, "nu": 0.4, "theta": 0.6,
-                                            "omega": 1.0, "rho": 1.0})):
-            ts = np.logspace(-30, -5, 10)
+        ts = np.logspace(-30, -5, 10)
+        for f in (lambda t: psi_near(t, 1.0, 0.4),
+                  lambda t: psi_compose(t, 1.0, 0.4, 0.6, 1.0, 1.0)):
             vals = [f(t) for t in ts]
             assert vals[0] < 0.5 * vals[-1]
+        assert psi_near(0.0, 1.0, 0.4) == 0.0
