@@ -16,6 +16,11 @@ CGO-cube points through ``RefractiveIndex.contrast_at``.
 The factor e^{i zeta.x} itself is never evaluated: at the relevant t it
 overflows by thousands of orders of magnitude.  All stored fields are the
 bounded conjugated parts.
+
+Layout: inside this module every vector field is stored component first,
+(3, m, m, m), so that each component is contiguous and one batched FFT
+over the last three axes transforms all of them.  ``CgoSolution`` hands
+its fields back as (m, m, m, 3), the layout of the rest of the package.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ import numpy as np
 import scipy.fft
 
 from .fourier import CubeGrid, RefractiveIndex
+
+AXES = (-3, -2, -1)  # the cube's axes; any leading axis indexes components
 
 
 class CgoError(RuntimeError):
@@ -112,11 +119,29 @@ def rotation_to_axis(a1, a2, ghat) -> np.ndarray:
     return rot
 
 
+def _column(v):
+    """A constant 3-vector as a component-first field, shape (3, 1, 1, 1)."""
+    return np.reshape(v, (3, 1, 1, 1))
+
+
+def _cross(a, b):
+    """Cross product over axis 0 of component-first fields."""
+    c0 = a[1] * b[2] - a[2] * b[1]
+    out = np.empty((3,) + c0.shape, dtype=c0.dtype)
+    out[0] = c0
+    out[1] = a[2] * b[0] - a[0] * b[2]
+    out[2] = a[0] * b[1] - a[1] * b[0]
+    return out
+
+
 class MediumFields:
-    """Derivative fields of a refractive index on the large CGO cube.
+    """Derivative fields of a refractive index on the large CGO cube, and
+    the coefficients of the potential matrix Q.
 
     ``rotation`` rot (orthogonal; the identity when None) maps the
     medium's frame to the CGO frame, so the cube holds n'(x) = n(rot^T x).
+    ``grad`` is grad(n), shape (3, m, m, m), and ``jac_p[i, j]`` is
+    d_j p_i with p = grad(n)/n, shape (3, 3, m, m, m).
     """
 
     def __init__(self, n: RefractiveIndex, R: float, m_grid: int,
@@ -137,63 +162,62 @@ class MediumFields:
             raise ValueError("resampled Re(n) dips below b")
         self.values = vals
         self.b = n.b
-        f1, f2, f3 = self.grid.frequencies()
-        self._freqs = (f1, f2, f3)
+        freqs = np.stack(self.grid.frequencies())
+        ifreqs = 1j * freqs
         chat = scipy.fft.fftn(vals - 1.0)
-        self.grad = np.stack(
-            [scipy.fft.ifftn(1j * f * chat) for f in self._freqs], axis=-1)
-        self.p = self.grad / vals[..., None]  # grad(n)/n
-        self.jac_p = np.empty(self.grad.shape[:3] + (3, 3), dtype=complex)
-        for i in range(3):
-            pihat = scipy.fft.fftn(self.p[..., i])
-            for j in range(3):
-                self.jac_p[..., i, j] = scipy.fft.ifftn(1j * self._freqs[j]
-                                                        * pihat)
+        self.grad = scipy.fft.ifftn(ifreqs * chat, axes=AXES,
+                                    overwrite_x=True)
+        phat = scipy.fft.fftn(self.grad / vals, axes=AXES, overwrite_x=True)
+        self.jac_p = scipy.fft.ifftn(ifreqs * phat[:, None], axes=AXES,
+                                     overwrite_x=True)
         sqrt_n = np.sqrt(vals)
         shat = scipy.fft.fftn(sqrt_n - 1.0)
-        lap = -(f1**2 + f2**2 + f3**2)
-        self.lap_sqrt = scipy.fft.ifftn(lap * shat)  # Laplacian of sqrt(n)
+        f1, f2, f3 = freqs
+        self.lap_sqrt = scipy.fft.ifftn(-(f1**2 + f2**2 + f3**2) * shat)
         self.sqrt_n = sqrt_n
         self.inv_sqrt_n = 1.0 / sqrt_n
-        # n^{-1/2} Delta n^{1/2}, the scalar zeroth-order piece of Q
-        self.helm_scalar = self.inv_sqrt_n * self.lap_sqrt
+        # Q's coefficients: kappa^2 (1 - n) on the diagonal, plus
+        # n^{-1/2} Delta n^{1/2} on the top block, and the cross-product
+        # coupling w = i kappa n^{-1/2} grad(n)
+        self.k2q = self.kappa**2 * (1.0 - vals)
+        self.k2q_helm = self.k2q + self.inv_sqrt_n * self.lap_sqrt
+        self.w = 1j * self.kappa * self.inv_sqrt_n * self.grad
 
     def q_apply(self, A, B):
-        """Action of the 6x6 potential matrix Q on a field pair (A, B)."""
-        k2q = self.kappa**2 * (1.0 - self.values)
-        gn = self.grad
-        top = (k2q[..., None] * A
-               - 1j * self.kappa * self.inv_sqrt_n[..., None] * np.cross(gn, B)
-               - np.einsum("...ij,...j->...i", self.jac_p, A)
-               + self.helm_scalar[..., None] * A)
-        bot = (k2q[..., None] * B
-               + 1j * self.kappa * self.inv_sqrt_n[..., None] * np.cross(gn, A))
+        """Action of the 6x6 potential matrix Q on a field pair (A, B) of
+        component-first fields (3, m, m, m), or broadcastable to them."""
+        top = self.k2q_helm * A
+        bot = self.k2q * B
+        tmp = np.empty(top.shape[1:], dtype=complex)
+        w = self.w
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            # top_i -= (w x B)_i, bot_i += (w x A)_i
+            top[i] -= np.multiply(w[j], B[k], out=tmp)
+            top[i] += np.multiply(w[k], B[j], out=tmp)
+            bot[i] += np.multiply(w[j], A[k], out=tmp)
+            bot[i] -= np.multiply(w[k], A[j], out=tmp)
+            for c in range(3):
+                top[i] -= np.multiply(self.jac_p[i, c], A[c], out=tmp)
         return top, bot
 
 
 def q_matrix(n: RefractiveIndex, R: float, m_grid: int, kappa: float):
-    """Explicit 6x6 potential matrix field on the CGO cube (heavy; prefer
-    the action form for solves)."""
+    """Explicit 6x6 potential matrix field, shape (6, 6, m, m, m), on the
+    CGO cube (heavy; prefer the action form for solves)."""
     med = MediumFields(n, R, m_grid, kappa)
-    shape = (med.grid.n,) * 3
-    q = np.zeros(shape + (6, 6), dtype=complex)
-    k2q = kappa**2 * (1.0 - med.values)
-    for i in range(6):
-        q[..., i, i] = k2q
-    cross = np.zeros(shape + (3, 3), dtype=complex)
-    gx, gy, gz = med.grad[..., 0], med.grad[..., 1], med.grad[..., 2]
-    cross[..., 0, 1] = -gz
-    cross[..., 0, 2] = gy
-    cross[..., 1, 0] = gz
-    cross[..., 1, 2] = -gx
-    cross[..., 2, 0] = -gy
-    cross[..., 2, 1] = gx
-    w = 1j * kappa * med.inv_sqrt_n
-    q[..., 0:3, 3:6] += -w[..., None, None] * cross
-    q[..., 3:6, 0:3] += w[..., None, None] * cross
-    q[..., 0:3, 0:3] += -med.jac_p
+    q = np.zeros((6, 6) + med.values.shape, dtype=complex)
+    wx, wy, wz = med.w
+    cross = np.zeros((3, 3) + med.values.shape, dtype=complex)  # w x .
+    cross[0, 1], cross[0, 2] = -wz, wy
+    cross[1, 0], cross[1, 2] = wz, -wx
+    cross[2, 0], cross[2, 1] = -wy, wx
+    q[:3, 3:] = -cross
+    q[3:, :3] = cross
+    q[:3, :3] = -med.jac_p
     for i in range(3):
-        q[..., i, i] += med.helm_scalar
+        q[i, i] += med.k2q_helm
+        q[i + 3, i + 3] = med.k2q
     return q, med.grid
 
 
@@ -219,8 +243,10 @@ class FaddeevOperator:
         rpp = grid.half_side  # R'' = 2R
         base = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
         scale = np.pi / rpp
-        x1, x2, x3 = np.meshgrid(scale * base, scale * base,
-                                 scale * (base + 0.5), indexing="ij")
+        # shifted lattice frequencies, broadcast along axes 0, 1 and 2
+        x1, x2, x3 = self._xi = (scale * base[:, None, None],
+                                 scale * base[:, None],
+                                 scale * (base + 0.5))
         xi2 = x1**2 + x2**2 + x3**2
         denom = xi2 + 2.0 * (zeta[0] * x1 + zeta[1] * x2 + zeta[2] * x3)
         floor = np.pi * t / rpp
@@ -233,52 +259,44 @@ class FaddeevOperator:
         self._demod = np.exp(-1j * (np.pi / (2.0 * rpp)) * grid.axis())
         self._remod = np.conj(self._demod)
 
+    def _forward(self, f):
+        return scipy.fft.fftn(self._demod * f, axes=AXES, overwrite_x=True)
+
+    def _inverse(self, g):
+        out = scipy.fft.ifftn(g, axes=AXES, overwrite_x=True)
+        out *= self._remod
+        return out
+
     def __call__(self, f):
-        """Apply G_zeta to scalar samples, or componentwise along the last
-        axis for vector fields."""
-        if f.ndim == 4:
-            return np.stack([self(f[..., c]) for c in range(f.shape[-1])],
-                            axis=-1)
-        g = scipy.fft.fftn(self._demod * f)
-        return self._remod * scipy.fft.ifftn(self.symbol * g)
+        """Apply G_zeta to a scalar field (m, m, m), or to every component
+        of a field (..., m, m, m) in one batched transform."""
+        g = self._forward(f)
+        g *= self.symbol
+        return self._inverse(g)
 
     def shifted_gradient(self, f):
-        """Spectral gradient for fields in the shifted (antiperiodic) band."""
-        g = scipy.fft.fftn(self._demod * f)
-        rpp = self.grid.half_side
-        base = np.fft.fftfreq(self.grid.n, d=1.0 / self.grid.n)
-        out = np.empty(f.shape + (3,), dtype=complex)
-        scale = np.pi / rpp
-        for c in range(3):
-            sh = base + (0.5 if c == 2 else 0.0)
-            shape = [1, 1, 1]
-            shape[c] = self.grid.n
-            xi = scale * sh.reshape(shape)
-            out[..., c] = self._remod * scipy.fft.ifftn(1j * xi * g)
-        return out
+        """Spectral gradient (3, ...) of a shifted-band (antiperiodic) field
+        f (..., m, m, m); component d is d_d f."""
+        g = self._forward(f)
+        return self._inverse(np.stack([1j * xi * g for xi in self._xi]))
 
     def shifted_curl(self, v):
-        """Spectral curl of a shifted-band vector field."""
-        grads = [self.shifted_gradient(v[..., c]) for c in range(3)]
-        out = np.empty_like(v)
-        out[..., 0] = grads[2][..., 1] - grads[1][..., 2]
-        out[..., 1] = grads[0][..., 2] - grads[2][..., 0]
-        out[..., 2] = grads[1][..., 0] - grads[0][..., 1]
-        return out
+        """Spectral curl of a shifted-band field v (3, m, m, m)."""
+        return self._inverse(_cross([1j * xi for xi in self._xi],
+                                    self._forward(v)))
 
 
 def cgo_rhs(med: MediumFields, op: FaddeevOperator, zeta, eta, kappa):
-    """Right-hand side (F1, F2) of the conjugated fixed-point system."""
+    """Right-hand side (F1, F2) of the conjugated fixed-point system, as
+    component-first fields."""
     zeta = np.asarray(zeta, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
-    zdg = np.einsum("j,...j->...", zeta, med.grad)  # zeta . grad(n)
+    zdg = np.tensordot(zeta, med.grad, axes=1)  # zeta . grad(n)
     scalar = -1j * med.inv_sqrt_n * zdg - med.lap_sqrt
-    f1 = -op(scalar[..., None] * eta)
-    a0 = med.sqrt_n[..., None] * eta
-    b0 = np.broadcast_to(np.cross(zeta, eta) / kappa,
-                         a0.shape).astype(complex)
-    qa, qb = med.q_apply(a0, b0)
-    return f1 - op(qa), -op(qb)
+    qa, qb = med.q_apply(med.sqrt_n * _column(eta),
+                         _column(np.cross(zeta, eta) / kappa))
+    qa += scalar * _column(eta)
+    return -op(qa), -op(qb)
 
 
 @dataclass
@@ -286,8 +304,9 @@ class CgoSolution:
     """Conjugated CGO fields on the cube of half-side 2R.
 
     The physical fields are E = e^{i zeta.x} u and H = e^{i zeta.x} h with
-    u = eta + f*zeta + V; only the bounded parts are stored.  ``n_values``
-    is the refractive index sampled on the cube in the rotated frame.
+    u = eta + f*zeta + V; only the bounded parts are stored, vector fields
+    as (m, m, m, 3).  ``n_values`` is the refractive index sampled on the
+    cube in the rotated frame; ``iterations`` counts the Neumann sweeps.
     """
 
     grid: CubeGrid
@@ -304,6 +323,7 @@ class CgoSolution:
     v_norm: float
     residual: float
     n_values: np.ndarray
+    iterations: int
     contraction: list = field(default_factory=list)
 
     def remainder_norm(self) -> float:
@@ -311,9 +331,9 @@ class CgoSolution:
         return self.f_norm + self.v_norm
 
 
-def _ball_l2(values, grid: CubeGrid, radius: float) -> float:
-    mask = grid.radii() < radius
-    return float(np.sqrt(np.sum(np.abs(values[mask]) ** 2) * grid.spacing**3))
+def _ball_l2(values, ball, spacing: float) -> float:
+    """L2 norm over the ``ball`` nodes of a scalar or component-first field."""
+    return float(np.sqrt(np.sum(np.abs(values[..., ball]) ** 2) * spacing**3))
 
 
 def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, m_grid: int = 64,
@@ -337,16 +357,20 @@ def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, m_grid: int = 64,
     med = MediumFields(n, R, m_grid, kappa, rotation)
     op = FaddeevOperator(zeta, med.grid)
     f1, f2 = cgo_rhs(med, op, zeta, eta, kappa)
-    ea, hb = f1.copy(), f2.copy()
+    ea, hb = f1, f2  # a sweep writes only into fresh buffers
     prev_delta = None
     ratios = []
-    for _ in range(max_iter):
+    for sweep in range(1, max_iter + 1):
         qa, qb = med.q_apply(ea, hb)
-        new_a = f1 - op(qa)
-        new_b = f2 - op(qb)
-        delta = np.sqrt(np.sum(np.abs(new_a - ea) ** 2)
-                        + np.sum(np.abs(new_b - hb) ** 2))
-        scale = np.sqrt(np.sum(np.abs(new_a) ** 2) + np.sum(np.abs(new_b) ** 2))
+        ga, gb = op(qa), op(qb)
+        new_a = np.subtract(f1, ga, out=qa)
+        new_b = np.subtract(f2, gb, out=qb)
+        scale = np.sqrt(np.vdot(new_a, new_a).real
+                        + np.vdot(new_b, new_b).real)
+        step_a = np.subtract(new_a, ea, out=ga)
+        step_b = np.subtract(new_b, hb, out=gb)
+        delta = np.sqrt(np.vdot(step_a, step_a).real
+                        + np.vdot(step_b, step_b).real)
         ea, hb = new_a, new_b
         if prev_delta is not None and prev_delta > 0:
             ratios.append(delta / prev_delta)
@@ -360,28 +384,35 @@ def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, m_grid: int = 64,
     if len(ratios) >= 3 and min(ratios[-3:]) > 1.0:
         raise CgoError("Neumann iteration diverging", contraction=ratios)
     # extraction per the remainder splitting
-    g0 = op(1j * med.inv_sqrt_n
-            * np.einsum("...j,j->...", med.grad, eta))  # scalar
+    zeta_c = _column(zeta)
+    g0 = op(1j * med.inv_sqrt_n * np.tensordot(eta, med.grad, axes=1))
     f_field = med.inv_sqrt_n * g0
-    v_prime = ea - g0[..., None] * zeta
-    v_field = med.inv_sqrt_n[..., None] * v_prime
-    u = eta + f_field[..., None] * zeta + v_field
-    h = np.cross(zeta, eta) / kappa + hb
-    rball = 1.5 * R
-    f_norm = _ball_l2(f_field, med.grid, rball)
-    v_norm = _ball_l2(np.linalg.norm(v_field, axis=-1), med.grid, rball)
-    # Maxwell residual in conjugated variables on B(3R/2): the constant
-    # parts of u and h are curl-free and handled analytically
-    mod_u = f_field[..., None] * zeta + v_field
-    r1 = (1j * np.cross(zeta, u) + op.shifted_curl(mod_u)
-          - 1j * kappa * h)
-    r2 = (1j * np.cross(zeta, h) + op.shifted_curl(hb)
-          + 1j * kappa * med.values[..., None] * u)
-    scale = kappa * (_ball_l2(np.linalg.norm(u, axis=-1), med.grid, rball)
-                     + _ball_l2(np.linalg.norm(h, axis=-1), med.grid, rball))
-    resid = (_ball_l2(np.linalg.norm(r1, axis=-1), med.grid, rball)
-             + _ball_l2(np.linalg.norm(r2, axis=-1), med.grid, rball)) / scale
+    v_field = med.inv_sqrt_n * (ea - g0 * zeta_c)
+    # the constant parts of u and h are curl-free and handled analytically
+    mod_u = f_field * zeta_c + v_field
+    u = _column(eta) + mod_u
+    h = _column(np.cross(zeta, eta) / kappa) + hb
+    ball = med.grid.radii() < 1.5 * R
+    spacing = med.grid.spacing
+    f_norm = _ball_l2(f_field, ball, spacing)
+    v_norm = _ball_l2(v_field, ball, spacing)
+    # Maxwell residual in conjugated variables on B(3R/2):
+    # r1 = curl u + i (zeta x u - kappa h),
+    # r2 = curl h + i (zeta x h + kappa n u)
+    r1 = _cross(zeta_c, u)
+    r1 -= kappa * h
+    r1 *= 1j
+    r1 += op.shifted_curl(mod_u)
+    r2 = _cross(zeta_c, h)
+    r2 += kappa * med.values * u
+    r2 *= 1j
+    r2 += op.shifted_curl(hb)
+    resid = ((_ball_l2(r1, ball, spacing) + _ball_l2(r2, ball, spacing))
+             / (kappa * (_ball_l2(u, ball, spacing)
+                         + _ball_l2(h, ball, spacing))))
     return CgoSolution(grid=med.grid, R=R, kappa=kappa, zeta=zeta, eta=eta,
-                       t=op.t, f=f_field, V=v_field, u=u, h=h,
+                       t=op.t, f=f_field, V=np.moveaxis(v_field, 0, -1),
+                       u=np.moveaxis(u, 0, -1), h=np.moveaxis(h, 0, -1),
                        f_norm=f_norm, v_norm=v_norm, residual=resid,
-                       n_values=med.values, contraction=ratios)
+                       n_values=med.values, iterations=sweep,
+                       contraction=ratios)

@@ -325,7 +325,7 @@ def run_cgo(cfg, ws: Workspace):
         "kind": "cgo", "t": sol.t, "kappa": cfg.kappa,
         "zeta_re": list(np.real(sol.zeta)), "zeta_im": list(np.imag(sol.zeta)),
         "eta_re": list(np.real(sol.eta)), "eta_im": list(np.imag(sol.eta)),
-        "residual": sol.residual,
+        "residual": sol.residual, "iterations": sol.iterations,
         "contraction": float(max(sol.contraction)) if sol.contraction else None,
         "remainder_norm": sol.remainder_norm(),
     })

@@ -51,12 +51,8 @@ def helmholtz_kernel(x, kappa):
     return np.exp(1j * kappa * r) / (4.0 * np.pi * r)
 
 
-def background_green(x, y, kappa):
-    """Free-space electric Green's tensor w1(x, y).
-
-    ``w1(x, y) a`` is the dipole field -(1/(i*kappa)) curl curl (a * Phi),
-    in closed form (i/kappa) * (kappa^2 Phi I + Hess Phi).
-    """
+def _radial_derivatives(x, y, kappa):
+    """Unit vector rhat from y to x, and Phi, Phi' and Phi'' at r = |x - y|."""
     z = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     r = np.linalg.norm(z, axis=-1)
     if np.any(r == 0):
@@ -65,6 +61,16 @@ def background_green(x, y, kappa):
     phi = np.exp(1j * kappa * r) / (4.0 * np.pi * r)
     dp = (1j * kappa - 1.0 / r) * phi
     ddp = ((1j * kappa - 1.0 / r) ** 2 + 1.0 / r**2) * phi
+    return r, rhat, phi, dp, ddp
+
+
+def background_green(x, y, kappa):
+    """Free-space electric Green's tensor w1(x, y).
+
+    ``w1(x, y) a`` is the dipole field -(1/(i*kappa)) curl curl (a * Phi),
+    in closed form (i/kappa) * (kappa^2 Phi I + Hess Phi).
+    """
+    r, rhat, phi, dp, ddp = _radial_derivatives(x, y, kappa)
     eye = np.eye(3)
     outer = rhat[..., :, None] * rhat[..., None, :]
     hess = (ddp - dp / r)[..., None, None] * outer + (dp / r)[..., None, None] * eye
@@ -89,7 +95,14 @@ class DipoleSource:
         self.kappa = float(kappa)
 
     def electric(self, points):
-        return background_green(points, self.y, self.kappa) @ self.a
+        """w1(x, y) a without the tensor: (i/kappa) ((kappa^2 Phi + Phi'/r) a
+        + (Phi'' - Phi'/r) (rhat.a) rhat)."""
+        r, rhat, phi, dp, ddp = _radial_derivatives(points, self.y,
+                                                    self.kappa)
+        along = (ddp - dp / r) * (rhat @ self.a)
+        out = (self.kappa**2 * phi + dp / r)[..., None] * self.a
+        out += along[..., None] * rhat
+        return (1j / self.kappa) * out
 
     def magnetic(self, points):
         # H = curl(a Phi) = grad(Phi) x a
@@ -394,23 +407,28 @@ class ReceiverMap:
 
     def apply(self, qe, pe):
         """Rows (n_rec, 3) of the densities qe (n_ball, 3), pe (n_ball,)."""
-        if self.grad is None:
-            gpe = 1j * self.kappa * (self.kernel @ pe)[:, None] * self.dirs
+        if self.grad is None:  # one pass over K for (K qe, K pe)
+            kq = self.kernel @ np.column_stack([qe, pe])
+            gpe = 1j * self.kappa * kq[:, 3:] * self.dirs
+            kq = kq[:, :3]
         else:
             gpe = np.einsum("xyc,y->xc", self.grad, pe)
-        return self.scale * (-self.kappa**2 * (self.kernel @ qe) + gpe)
+            kq = self.kernel @ qe
+        return self.scale * (-self.kappa**2 * kq + gpe)
 
     def adjoint(self, rows):
         """Densities (mu, nu) on the ball nodes paired with (q E, p.E)."""
         def kernel_h(v):
             return np.conj(self.kernel.T @ np.conj(v))
 
-        mu = -self.scale * self.kappa**2 * kernel_h(rows)
-        if self.grad is None:
-            nu = kernel_h(-1j * self.kappa * np.sum(rows * self.dirs, axis=1))
+        if self.grad is None:  # one pass over K for both densities
+            kh = kernel_h(np.column_stack(
+                [rows, -1j * self.kappa * np.sum(rows * self.dirs, axis=1)]))
+            kh_rows, nu = kh[:, :3], kh[:, 3]
         else:
+            kh_rows = kernel_h(rows)
             nu = np.conj(np.einsum("xyc,xc->y", self.grad, np.conj(rows)))
-        return mu, self.scale * nu
+        return -self.scale * self.kappa**2 * kh_rows, self.scale * nu
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from emiscat.cgo import (
     CgoError,
@@ -153,9 +154,33 @@ class TestFaddeev:
              + 1j * rng.standard_normal((16,) * 3))
         g = op(f)
         grad = op.shifted_gradient(g)
-        lap = sum(op.shifted_gradient(grad[..., c])[..., c] for c in range(3))
-        lhs = lap + 2j * np.einsum("j,...j->...", zeta, grad)
+        lap = sum(op.shifted_gradient(grad[c])[c] for c in range(3))
+        lhs = lap + 2j * np.einsum("j,j...->...", zeta, grad)
         assert np.max(np.abs(lhs + f)) < 1e-9 * np.max(np.abs(f))
+
+    def test_batched_apply(self):
+        # one (3, m, m, m) apply equals three scalar applies
+        grid = CubeGrid(2.0 * R_CGO, 16)
+        zeta, _ = axis_aligned_zeta(9.0)
+        op = FaddeevOperator(zeta, grid)
+        rng = np.random.default_rng(4)
+        v = (rng.standard_normal((3,) + (16,) * 3)
+             + 1j * rng.standard_normal((3,) + (16,) * 3))
+        expected = np.stack([op(v[c]) for c in range(3)])
+        assert np.max(np.abs(op(v) - expected)) <= 1e-14 * np.max(
+            np.abs(expected))
+
+    def test_shifted_curl(self):
+        grid = CubeGrid(2.0 * R_CGO, 16)
+        zeta, _ = axis_aligned_zeta(9.0)
+        op = FaddeevOperator(zeta, grid)
+        rng = np.random.default_rng(6)
+        v = (rng.standard_normal((3,) + (16,) * 3)
+             + 1j * rng.standard_normal((3,) + (16,) * 3))
+        d = [op.shifted_gradient(v[c]) for c in range(3)]  # d[c][j] = d_j v_c
+        expected = np.stack([d[2][1] - d[1][2], d[0][2] - d[2][0],
+                             d[1][0] - d[0][1]])
+        assert np.max(np.abs(op.shifted_curl(v) - expected)) < 1e-12
 
     def test_operator_bound(self):
         grid = CubeGrid(2.0 * R_CGO, 12)
@@ -196,19 +221,20 @@ class TestMediumFields:
         q, grid = q_matrix(n, R_CGO, 16, KAPPA)
         med = MediumFields(n, R_CGO, 16, KAPPA)
         rng = np.random.default_rng(2)
-        A = rng.standard_normal((16, 16, 16, 3)) + 0j
-        B = rng.standard_normal((16, 16, 16, 3)) + 0j
+        A = rng.standard_normal((3, 16, 16, 16)) + 0j
+        B = rng.standard_normal((3, 16, 16, 16)) + 0j
         top, bot = med.q_apply(A, B)
-        full = np.concatenate([A, B], axis=-1)
-        ref = np.einsum("...ij,...j->...i", q, full)
-        assert np.max(np.abs(top - ref[..., :3])) < 1e-10
-        assert np.max(np.abs(bot - ref[..., 3:])) < 1e-10
+        full = np.concatenate([A, B], axis=0)
+        ref = np.einsum("ij...,j...->i...", q, full)
+        assert np.max(np.abs(top - ref[:3])) < 1e-10
+        assert np.max(np.abs(bot - ref[3:])) < 1e-10
 
     def test_q_bound_dominates(self):
         # the explicit matrix stays below the generic spectral-norm bound
         n = bump_medium(n_grid=16)
         q, _ = q_matrix(n, R_CGO, 16, KAPPA)
-        spectral = np.linalg.norm(q.reshape(-1, 6, 6), ord=2, axis=(1, 2))
+        spectral = np.linalg.norm(np.moveaxis(q, (0, 1), (-2, -1))
+                                  .reshape(-1, 6, 6), ord=2, axis=(1, 2))
         lm_cm = 2.0  # a crude admissible-class constant for this medium
         assert np.max(spectral) <= q_bound(KAPPA, n.b, lm_cm)
 
@@ -244,6 +270,23 @@ class TestCgoSolve:
         sol = cgo_solve(n, rot @ v.zeta1, rot @ v.eta1, R_CGO, m_grid=32,
                         rotation=rot)
         assert sol.residual < 1e-3
+
+    def test_transform_count(self, monkeypatch):
+        # MediumFields 18 volumes, right-hand side 12, each Neumann sweep
+        # 12, the extraction 2 and the two residual curls 12
+        n = bump_medium(n_grid=16)
+        volumes = []
+        for name in ("fftn", "ifftn"):
+            def counted(x, *args, _fft=getattr(scipy.fft, name), **kwargs):
+                assert x.size % 16**3 == 0
+                volumes.append(x.size // 16**3)
+                return _fft(x, *args, **kwargs)
+
+            monkeypatch.setattr(scipy.fft, name, counted)
+        zeta, eta = axis_aligned_zeta(12.0)
+        sol = cgo_solve(n, zeta, eta, R_CGO, m_grid=16)
+        assert sol.iterations == len(sol.contraction) + 1
+        assert sum(volumes) == 44 + 12 * sol.iterations
 
     def test_bad_inputs(self):
         n = bump_medium(n_grid=16)

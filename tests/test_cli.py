@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from emiscat import cli
 from emiscat.cli import ConfigError, load_config, main, run, verify_manifest
 from emiscat.io import read_field
 
@@ -168,18 +169,27 @@ class TestDataPipelines:
 
 
 class TestCgoPipeline:
-    def test_cgo_run(self, tmp_path):
+    def test_cgo_run(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "c.ini", BASE + BUMP + """
 [cgo]
 gamma = 1,0,0
 t = 25.0
 m_grid = 24
 """)
+        solutions = []
+
+        def recorded(*args, _solve=cli.cgo_solve, **kwargs):
+            solutions.append(_solve(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(cli, "cgo_solve", recorded)
         out = tmp_path / "out"
         run("cgo", cfg, out_dir=str(out))
         summary = json.loads((out / "cgo_summary.json").read_text())
         assert summary["residual"] < 1e-2
         assert summary["contraction"] < 1.0
+        (sol,) = solutions
+        assert summary["iterations"] == len(sol.contraction) + 1
         assert (out / "cgo_u.fld").exists() and (out / "cgo_h.fld").exists()
 
     def test_cgo_needs_parameters(self, tmp_path):

@@ -72,6 +72,15 @@ class TestBackgroundGreen:
                + 1j * DipoleSource(y, a2, KAPPA).electric(x))
         assert np.allclose(lhs, rhs, rtol=1e-13)
 
+    def test_electric_matches_tensor(self):
+        # the dipole field is w1(x, y) a, contracted without forming w1
+        grid = CubeGrid(np.pi, 16)
+        y = 1.5 * np.pi * np.array([0.6, -0.8, 0.0])
+        src = DipoleSource(y, np.array([0.3, -1.0 + 0.5j, 0.7]), KAPPA)
+        expected = background_green(grid.points(), y, KAPPA) @ src.a
+        err = np.max(np.abs(src.electric(grid.points()) - expected))
+        assert err <= 1e-13 * np.max(np.abs(expected))
+
     def test_magnetic_is_curl(self):
         src = DipoleSource(np.zeros(3), np.array([0.2, 1.0, -0.4]), KAPPA)
         x = np.array([1.2, 0.7, -1.5])
