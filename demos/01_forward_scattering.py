@@ -34,8 +34,8 @@ for amp in (0.04, 0.02, 0.01):
     s = ScatteringSolver(weak, KAPPA)
     full = s.solve(wave)
     born = s.born_field(wave)
-    dev = np.linalg.norm(full.values - born.values) \
-        / np.linalg.norm(born.values - wave.electric(s.pts))
+    dev = np.linalg.norm(full - born) \
+        / np.linalg.norm(born - wave.electric(s.pts))
     print(f"  amplitude {amp:5.2f}: |full - Born| / |Born scattered| = {dev:.3f}")
 
 print("\nFar-field pattern along a few directions:")

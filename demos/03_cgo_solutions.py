@@ -8,7 +8,7 @@ the remainder as the complex frequency grows.
 
 import numpy as np
 
-from emiscat.cgo import cgo_solve, cgo_vectors, q_bound, rotation_to_axis, t_min
+from emiscat.cgo import cgo_solve, cgo_vectors, q_bound, t_min
 from emiscat.fourier import BumpProfile, CubeGrid, make_test_index
 
 KAPPA = 1.0
@@ -33,12 +33,13 @@ print("(desk-scale runs below use moderate t; the Neumann iteration still")
 print(" contracts because the measured potential norm is far below the bound)")
 
 print("\n== Remainder decay: ||f|| + ||V|| ~ 1/t ==")
-rot = rotation_to_axis(v.a1, v.a2, gamma)
+print("(cgo_solve rotates zeta and eta into the CGO frame, in which Im(zeta)")
+print(" lies along e_z, with the pair's rotation)")
 prev = None
 for t in (25.0, 50.0, 100.0):
     vt = cgo_vectors(gamma, t, KAPPA)
-    sol = cgo_solve(medium, rot @ vt.zeta1, rot @ vt.eta1, R,
-                    m_grid=32, kappa=KAPPA, rotation=rot)
+    sol = cgo_solve(medium, vt.zeta1, vt.eta1, R, m_grid=32, kappa=KAPPA,
+                    rotation=vt.rotation)
     rem = sol.remainder_norm()
     note = "" if prev is None else f"  (ratio {rem / prev:.3f}, target 0.5)"
     print(f"  t = {t:6.1f}: residual {sol.residual:.1e}, "

@@ -36,7 +36,6 @@ from .cgo import (
     cgo_solve,
     cgo_vectors,
     q_bound,
-    rotation_to_axis,
     t_min,
 )
 from .spherical import FarCoeffs, far_coeffs, near_from_far
@@ -112,7 +111,6 @@ __all__ = [
     "read_data",
     "read_far_coeffs",
     "read_field",
-    "rotation_to_axis",
     "schedule",
     "t_min",
     "tikhonov_reconstruct",

@@ -9,9 +9,11 @@ iteration solves the fixed-point system (contraction factor <= 1/2 once
 t exceeds the explicit threshold t_min).
 
 G_zeta is diagonal only for Im(zeta) along e_z.  Every other direction is
-reached by a rotation rot: the caller passes rot @ zeta and rot @ eta, and
-the medium is sampled in the rotated frame, n(rot^T x), directly at the
-CGO-cube points through ``RefractiveIndex.contrast_at``.
+reached by a rotation rot, for a CGO pair ``CgoVectors.rotation``:
+``cgo_solve`` takes zeta and eta in the medium's frame and solves with
+rot @ zeta and rot @ eta, sampling the medium in the rotated frame,
+n(rot^T x), directly at the CGO-cube points through
+``RefractiveIndex.contrast_at``.
 
 The factor e^{i zeta.x} itself is never evaluated: at the relevant t it
 overflows by thousands of orders of magnitude.  All stored fields are the
@@ -80,6 +82,14 @@ class CgoVectors:
     eta1: np.ndarray
     eta2: np.ndarray
 
+    @property
+    def rotation(self) -> np.ndarray:
+        """Rotation of the CGO frame, rows (a2, ghat, a1): maps a1 to e_z,
+        ghat to e_y and a2 to e_x, with determinant +1 since
+        a2 = ghat x a1."""
+        return np.stack([self.a2, self.gamma / np.linalg.norm(self.gamma),
+                         self.a1])
+
 
 def cgo_vectors(gamma, t: float, kappa: float) -> CgoVectors:
     """Construct the CGO vector pair of the Fourier-difference bound."""
@@ -109,14 +119,6 @@ def cgo_vectors(gamma, t: float, kappa: float) -> CgoVectors:
     eta2 = ghat + 1j * (g / (2.0 * t)) * a1
     return CgoVectors(gamma=gamma, t=t, kappa=kappa, a1=a1, a2=a2,
                       zeta1=zeta1, zeta2=zeta2, eta1=eta1, eta2=eta2)
-
-
-def rotation_to_axis(a1, a2, ghat) -> np.ndarray:
-    """Orthogonal matrix mapping a1 to e_z (and {ghat, a2} to {e_x, e_y})."""
-    rot = np.stack([ghat, a2, a1], axis=0)
-    if abs(np.linalg.det(rot) - 1.0) > 1e-10:
-        rot = np.stack([a2, ghat, a1], axis=0)
-    return rot
 
 
 def _column(v):
@@ -202,25 +204,6 @@ class MediumFields:
         return top, bot
 
 
-def q_matrix(n: RefractiveIndex, R: float, m_grid: int, kappa: float):
-    """Explicit 6x6 potential matrix field, shape (6, 6, m, m, m), on the
-    CGO cube (heavy; prefer the action form for solves)."""
-    med = MediumFields(n, R, m_grid, kappa)
-    q = np.zeros((6, 6) + med.values.shape, dtype=complex)
-    wx, wy, wz = med.w
-    cross = np.zeros((3, 3) + med.values.shape, dtype=complex)  # w x .
-    cross[0, 1], cross[0, 2] = -wz, wy
-    cross[1, 0], cross[1, 2] = wz, -wx
-    cross[2, 0], cross[2, 1] = -wy, wx
-    q[:3, 3:] = -cross
-    q[3:, :3] = cross
-    q[:3, :3] = -med.jac_p
-    for i in range(3):
-        q[i, i] += med.k2q_helm
-        q[i + 3, i + 3] = med.k2q
-    return q, med.grid
-
-
 class FaddeevOperator:
     """Periodic Faddeev-type inverse G_zeta on the cube of half-side 2R.
 
@@ -274,12 +257,6 @@ class FaddeevOperator:
         g *= self.symbol
         return self._inverse(g)
 
-    def shifted_gradient(self, f):
-        """Spectral gradient (3, ...) of a shifted-band (antiperiodic) field
-        f (..., m, m, m); component d is d_d f."""
-        g = self._forward(f)
-        return self._inverse(np.stack([1j * xi * g for xi in self._xi]))
-
     def shifted_curl(self, v):
         """Spectral curl of a shifted-band field v (3, m, m, m)."""
         return self._inverse(_cross([1j * xi for xi in self._xi],
@@ -305,8 +282,9 @@ class CgoSolution:
 
     The physical fields are E = e^{i zeta.x} u and H = e^{i zeta.x} h with
     u = eta + f*zeta + V; only the bounded parts are stored, vector fields
-    as (m, m, m, 3).  ``n_values`` is the refractive index sampled on the
-    cube in the rotated frame; ``iterations`` counts the Neumann sweeps.
+    as (m, m, m, 3).  ``zeta``, ``eta``, the fields and ``n_values``, the
+    refractive index sampled on the cube, are in the CGO (rotated) frame;
+    ``iterations`` counts the Neumann sweeps.
     """
 
     grid: CubeGrid
@@ -341,12 +319,18 @@ def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, m_grid: int = 64,
               max_iter: int = 80) -> CgoSolution:
     """Solve the conjugated CGO system and assemble the remainder parts.
 
-    ``zeta`` must satisfy zeta.zeta = kappa^2 with Im(zeta) along e_z.  For
-    any other direction pass ``rot @ zeta`` and ``rot @ eta`` together with
-    the ``rotation`` rot: the medium, not the operator, is rotated.
+    ``zeta`` and ``eta`` are given in the medium's frame and must satisfy
+    zeta.zeta = kappa^2 and zeta.eta = 0.  The ``rotation`` rot (for a CGO
+    pair ``CgoVectors.rotation``; the identity when None) must bring
+    Im(zeta) onto e_z: the solve uses rot @ zeta and rot @ eta and samples
+    the medium in the rotated frame, so the medium, not the operator, is
+    rotated.
     """
     zeta = np.asarray(zeta, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
+    if rotation is not None:
+        rot = np.asarray(rotation, dtype=float)
+        zeta, eta = rot @ zeta, rot @ eta
     if kappa is None:
         kappa = float(np.sqrt(np.real(zeta @ zeta)))
     zn = np.linalg.norm(zeta)  # rounding scales with |zeta| ~ t

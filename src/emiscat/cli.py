@@ -22,7 +22,7 @@ import numpy as np
 import scipy.fft
 
 from . import io as containers
-from .cgo import cgo_solve, cgo_vectors, rotation_to_axis
+from .cgo import cgo_solve, cgo_vectors
 from .forward import (
     PlaneWave,
     ScatteringSolver,
@@ -34,6 +34,7 @@ from .fourier import (
     BumpProfile,
     CubeGrid,
     SobolevParams,
+    hm_norm,
     make_test_index,
 )
 from .inversion import (
@@ -179,6 +180,19 @@ def load_config(path) -> ExperimentConfig:
     )
 
 
+def _write_json(path, payload: dict):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 class Workspace:
     """Output directory with a manifest of hashed artifacts."""
 
@@ -188,32 +202,18 @@ class Workspace:
         self.seed = seed
         self.artifacts = {}
 
-    def path(self, name: str) -> Path:
-        return self.dir / name
-
-    def record(self, name: str):
-        digest = hashlib.sha256(self.path(name).read_bytes()).hexdigest()
-        self.artifacts[name] = digest
-
-    def write_json(self, name: str, payload: dict):
-        with open(self.path(name), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        self.record(name)
-
-    def write_csv(self, name: str, header, rows):
-        with open(self.path(name), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        self.record(name)
+    def write(self, name: str, writer, *args):
+        """``writer(path, *args)`` writes the file ``name``; its SHA-256
+        goes into the manifest."""
+        path = self.dir / name
+        writer(path, *args)
+        self.artifacts[name] = hashlib.sha256(path.read_bytes()).hexdigest()
 
     def finish(self):
+        """Write ``manifest.json``, which lists every artifact but itself."""
         manifest = {"seed": self.seed,
                     "artifacts": dict(sorted(self.artifacts.items()))}
-        with open(self.path("manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        self.write("manifest.json", _write_json, manifest)
         return manifest
 
 
@@ -228,7 +228,9 @@ def verify_manifest(out_dir) -> bool:
     return True
 
 
-def build_medium(cfg: ExperimentConfig, grid: CubeGrid, seed: int):
+def build_medium(cfg: ExperimentConfig, seed: int):
+    """The configured medium on the grid of ``[grids] n`` points."""
+    grid = CubeGrid(np.pi, cfg.n)
     if cfg.profile == "vacuum":
         return make_test_index(BumpProfile(), grid, b=cfg.b,
                                smoothness=cfg.smoothness)
@@ -258,20 +260,17 @@ def _noise_seeds(cfg: ExperimentConfig, master: int, count: int):
 
 
 def run_forward(cfg, ws: Workspace):
-    grid = CubeGrid(np.pi, cfg.n)
-    medium = build_medium(cfg, grid, ws.seed)
+    medium = build_medium(cfg, ws.seed)
     solver = ScatteringSolver(medium, cfg.kappa)
     source = PlaneWave(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
                        cfg.kappa)
     total = solver.solve(source)
-    scattered = total.values - source.electric(solver.pts)
-    containers.write_field(ws.path("total_field.fld"), total.values, grid,
-                           kind="total-electric")
-    ws.record("total_field.fld")
-    containers.write_field(ws.path("scattered_field.fld"), scattered, grid,
-                           kind="scattered-electric")
-    ws.record("scattered_field.fld")
-    ws.write_json("forward_summary.json", {
+    scattered = total - source.electric(solver.pts)
+    ws.write("total_field.fld", containers.write_field, total, medium.grid,
+             "total-electric")
+    ws.write("scattered_field.fld", containers.write_field, scattered,
+             medium.grid, "scattered-electric")
+    ws.write("forward_summary.json", _write_json, {
         "kind": "forward", "kappa": cfg.kappa, "n": cfg.n,
         "residual": solver.residual(total, source),
         "scattered_max": float(np.max(np.abs(scattered))),
@@ -279,26 +278,22 @@ def run_forward(cfg, ws: Workspace):
 
 
 def run_nearfield(cfg, ws: Workspace):
-    grid = CubeGrid(np.pi, cfg.n)
-    medium = build_medium(cfg, grid, ws.seed)
+    medium = build_medium(cfg, ws.seed)
     sphere = SphereGrid.build(cfg.R, cfg.n_theta, cfg.n_phi)
     data = near_field_operator(medium, cfg.kappa, sphere)
-    containers.write_data(ws.path("near_data.dat"), data)
-    ws.record("near_data.dat")
-    ws.write_json("nearfield_summary.json", {
+    ws.write("near_data.dat", containers.write_data, data)
+    ws.write("nearfield_summary.json", _write_json, {
         "kind": "nearfield", "kappa": cfg.kappa, "radius": cfg.R,
         "nodes": int(sphere.nodes.shape[0]), "norm": data.norm(),
     })
 
 
 def run_farfield(cfg, ws: Workspace):
-    grid = CubeGrid(np.pi, cfg.n)
-    medium = build_medium(cfg, grid, ws.seed)
+    medium = build_medium(cfg, ws.seed)
     unit = SphereGrid.build(1.0, cfg.n_theta, cfg.n_phi)
     data = far_field_operator(medium, cfg.kappa, unit, unit)
-    containers.write_data(ws.path("far_data.dat"), data)
-    ws.record("far_data.dat")
-    ws.write_json("farfield_summary.json", {
+    ws.write("far_data.dat", containers.write_data, data)
+    ws.write("farfield_summary.json", _write_json, {
         "kind": "farfield", "kappa": cfg.kappa,
         "nodes": int(unit.nodes.shape[0]), "norm": data.norm(),
     })
@@ -308,20 +303,15 @@ def run_cgo(cfg, ws: Workspace):
     if cfg.cgo_t is None or not cfg.cgo_gamma:
         raise ConfigError("cgo runs need [cgo] gamma and t")
     _require_bump_profile(cfg, "cgo")
-    grid = CubeGrid(np.pi, cfg.n)
-    medium = build_medium(cfg, grid, ws.seed)
-    gamma = np.asarray(cfg.cgo_gamma, dtype=float)
-    v = cgo_vectors(gamma, cfg.cgo_t, cfg.kappa)
-    rot = rotation_to_axis(v.a1, v.a2, gamma / np.linalg.norm(gamma))
-    sol = cgo_solve(medium, rot @ v.zeta1, rot @ v.eta1, cfg.R,
-                    m_grid=cfg.cgo_m_grid, kappa=cfg.kappa, rotation=rot)
-    containers.write_field(ws.path("cgo_u.fld"), sol.u, sol.grid,
-                           kind="cgo-electric-profile")
-    ws.record("cgo_u.fld")
-    containers.write_field(ws.path("cgo_h.fld"), sol.h, sol.grid,
-                           kind="cgo-magnetic-profile")
-    ws.record("cgo_h.fld")
-    ws.write_json("cgo_summary.json", {
+    medium = build_medium(cfg, ws.seed)
+    v = cgo_vectors(cfg.cgo_gamma, cfg.cgo_t, cfg.kappa)
+    sol = cgo_solve(medium, v.zeta1, v.eta1, cfg.R, m_grid=cfg.cgo_m_grid,
+                    kappa=cfg.kappa, rotation=v.rotation)
+    ws.write("cgo_u.fld", containers.write_field, sol.u, sol.grid,
+             "cgo-electric-profile")
+    ws.write("cgo_h.fld", containers.write_field, sol.h, sol.grid,
+             "cgo-magnetic-profile")
+    ws.write("cgo_summary.json", _write_json, {
         "kind": "cgo", "t": sol.t, "kappa": cfg.kappa,
         "zeta_re": list(np.real(sol.zeta)), "zeta_im": list(np.imag(sol.zeta)),
         "eta_re": list(np.real(sol.eta)), "eta_im": list(np.imag(sol.eta)),
@@ -333,8 +323,7 @@ def run_cgo(cfg, ws: Workspace):
 
 def run_vsc_check(cfg, ws: Workspace):
     _require_bump_profile(cfg, "vsc-check")
-    grid = CubeGrid(np.pi, cfg.n)
-    base = build_medium(cfg, grid, ws.seed)
+    base = build_medium(cfg, ws.seed)
     sphere = SphereGrid.build(cfg.R, cfg.n_theta, cfg.n_phi)
     w_base = near_field_operator(base, cfg.kappa, sphere)
     rng = np.random.default_rng(ws.seed)
@@ -347,37 +336,37 @@ def run_vsc_check(cfg, ws: Workspace):
             centers=base.profile.centers + (tuple(center),),
             amplitudes=base.profile.amplitudes + (amp,),
             widths=base.profile.widths + (width,))
-        member = make_test_index(prof, grid, b=cfg.b,
+        member = make_test_index(prof, base.grid, b=cfg.b,
                                  smoothness=cfg.smoothness)
         family.append(member)
         misfits.append(data_diff_norm(
             near_field_operator(member, cfg.kappa, sphere), w_base))
     report = vsc_check(base, family, misfits, cfg.m, cfg.nu,
                        beta=cfg.vsc_beta, family_id="cli")
-    ws.write_csv("vsc_samples.csv",
-                 ["member", "lhs", "quad_term", "misfit_sq",
-                  "cauchy_schwarz_branch", "margin"],
-                 [[s.member, s.lhs, s.quad_term, s.misfit_sq,
-                   s.cauchy_schwarz_branch, s.margin]
-                  for s in report.samples])
-    ws.write_json("vsc_summary.json", {
+    ws.write("vsc_samples.csv", _write_csv,
+             ["member", "lhs", "quad_term", "misfit_sq",
+              "cauchy_schwarz_branch", "margin"],
+             [[s.member, s.lhs, s.quad_term, s.misfit_sq,
+               s.cauchy_schwarz_branch, s.margin]
+              for s in report.samples])
+    ws.write("vsc_summary.json", _write_json, {
         "kind": "vsc-check", "A": report.A, "beta": report.beta,
         "nu": report.nu, "violations": report.violations(),
         "members": len(report.samples),
     })
 
 
-def _near_problem(cfg, grid, data):
+def _near_problem(cfg, grid, data, delta):
     return InverseProblem(kind="near", kappa=cfg.kappa, grid=grid, data=data,
-                          delta=0.0, m=cfg.m, gamma_max=cfg.inv_gamma_max,
+                          delta=delta, m=cfg.m, gamma_max=cfg.inv_gamma_max,
                           b=cfg.b)
 
 
 def run_invert(cfg, ws: Workspace):
     if not cfg.deltas:
         raise ConfigError("invert runs need [noise] deltas (first entry used)")
-    grid = CubeGrid(np.pi, cfg.n)
-    truth = build_medium(cfg, grid, ws.seed)
+    truth = build_medium(cfg, ws.seed)
+    grid = truth.grid
     sphere = SphereGrid.build(cfg.R, cfg.n_theta, cfg.n_phi)
     clean = near_field_operator(truth, cfg.kappa, sphere)
     delta = cfg.deltas[0]
@@ -385,14 +374,11 @@ def run_invert(cfg, ws: Workspace):
     noisy = add_noise(clean, delta, seed)
     alpha = cfg.inv_alpha if cfg.inv_alpha is not None \
         else alpha_rule(delta, cfg.inv_A, cfg.nu)
-    prob = _near_problem(cfg, grid, noisy)
-    prob.delta = delta
+    prob = _near_problem(cfg, grid, noisy, delta)
     res = tikhonov_reconstruct(prob, alpha, maxiter=cfg.inv_maxiter)
-    containers.write_field(ws.path("reconstruction.fld"),
-                           res.medium.values, grid, kind="refractive-index")
-    ws.record("reconstruction.fld")
-    from .fourier import hm_norm
-    ws.write_json("invert_summary.json", {
+    ws.write("reconstruction.fld", containers.write_field, res.medium.values,
+             grid, "refractive-index")
+    ws.write("invert_summary.json", _write_json, {
         "kind": "invert", "delta": delta, "alpha": alpha,
         "misfit": res.misfit, "penalty": res.penalty,
         "functional": res.functional, "iterations": res.iterations,
@@ -405,20 +391,19 @@ def run_invert(cfg, ws: Workspace):
 def run_rates(cfg, ws: Workspace):
     if len(cfg.deltas) < 2:
         raise ConfigError("rates runs need at least two [noise] deltas")
-    grid = CubeGrid(np.pi, cfg.n)
-    truth = build_medium(cfg, grid, ws.seed)
+    truth = build_medium(cfg, ws.seed)
     sphere = SphereGrid.build(cfg.R, cfg.n_theta, cfg.n_phi)
     clean = near_field_operator(truth, cfg.kappa, sphere)
-    prob = _near_problem(cfg, grid, clean)
+    prob = _near_problem(cfg, truth.grid, clean, 0.0)
     seeds = _noise_seeds(cfg, ws.seed, len(cfg.deltas))
     study = rate_study(truth, prob, cfg.deltas, seeds, cfg.inv_A, cfg.nu,
                        maxiter=cfg.inv_maxiter)
-    ws.write_csv("rates.csv",
-                 ["delta", "alpha", "error", "misfit", "iterations"],
-                 [[d, a, e, m, i] for d, a, e, m, i in
-                  zip(study.deltas, study.alphas, study.errors,
-                      study.misfits, study.iterations)])
-    ws.write_json("rates_summary.json", {
+    ws.write("rates.csv", _write_csv,
+             ["delta", "alpha", "error", "misfit", "iterations"],
+             [[d, a, e, m, i] for d, a, e, m, i in
+              zip(study.deltas, study.alphas, study.errors,
+                  study.misfits, study.iterations)])
+    ws.write("rates_summary.json", _write_json, {
         "kind": "rates", "nu_hat": study.nu_hat, "nu_theory": study.nu_theory,
         "monotonicity_violations": study.monotonicity_violations,
         "floor": study.floor, "levels": len(study.deltas),
@@ -426,16 +411,14 @@ def run_rates(cfg, ws: Workspace):
 
 
 def run_near2far(cfg, ws: Workspace):
-    grid = CubeGrid(np.pi, cfg.n)
-    medium = build_medium(cfg, grid, ws.seed)
+    medium = build_medium(cfg, ws.seed)
     L = cfg.L if cfg.L is not None else int(np.ceil(cfg.kappa * cfg.R)) + 12
     n_theta = L + 1
     n_phi = 2 * L + 1
     unit = SphereGrid.build(1.0, n_theta, n_phi)
     far = far_field_operator(medium, cfg.kappa, unit, unit)
     coeffs = far_coeffs(far, L)
-    containers.write_far_coeffs(ws.path("far_coeffs.alf"), coeffs)
-    ws.record("far_coeffs.alf")
+    ws.write("far_coeffs.alf", containers.write_far_coeffs, coeffs)
     # compare the series reconstruction on 2R with direct near data
     src_sphere = SphereGrid.build(cfg.R, cfg.n_theta, cfg.n_phi)
     eval_pts = SphereGrid.build(2.0 * cfg.R, cfg.n_theta, cfg.n_phi)
@@ -450,7 +433,7 @@ def run_near2far(cfg, ws: Workspace):
     num = np.linalg.norm(series - direct.matrices)
     den = np.linalg.norm(direct.matrices)
     rel = float(num / den) if den > 0 else 0.0
-    ws.write_json("near2far_summary.json", {
+    ws.write("near2far_summary.json", _write_json, {
         "kind": "near2far", "L": L, "relative_error": rel,
         "direct_norm": float(den), "last_shell_max": float(max(shells)),
     })

@@ -42,17 +42,9 @@ class SolveError(RuntimeError):
         self.context = context
 
 
-def helmholtz_kernel(x, kappa):
-    """Outgoing fundamental solution exp(i*kappa*|x|)/(4*pi*|x|)."""
-    x = np.asarray(x, dtype=float)
-    r = np.sqrt(np.sum(x * x, axis=-1)) if x.shape[-1] == 3 else np.abs(x)
-    if np.any(r == 0):
-        raise ValueError("Helmholtz kernel evaluated at the origin")
-    return np.exp(1j * kappa * r) / (4.0 * np.pi * r)
-
-
 def _radial_derivatives(x, y, kappa):
-    """Unit vector rhat from y to x, and Phi, Phi' and Phi'' at r = |x - y|."""
+    """Unit vector rhat from y to x, and the outgoing kernel
+    Phi = exp(i*kappa*r)/(4*pi*r) with Phi' and Phi'' at r = |x - y|."""
     z = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     r = np.linalg.norm(z, axis=-1)
     if np.any(r == 0):
@@ -77,14 +69,6 @@ def background_green(x, y, kappa):
     return (1j / kappa) * (kappa**2 * phi[..., None, None] * eye + hess)
 
 
-def grad_kernel(x, y, kappa):
-    """Gradient in x of Phi(x - y)."""
-    z = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    r = np.linalg.norm(z, axis=-1)
-    phi = np.exp(1j * kappa * r) / (4.0 * np.pi * r)
-    return ((1j * kappa - 1.0 / r) * phi)[..., None] * (z / r[..., None])
-
-
 class DipoleSource:
     """Electric dipole with moment ``a`` at ``y``; fields solve the
     background Maxwell system away from the source point."""
@@ -105,9 +89,9 @@ class DipoleSource:
         return (1j / self.kappa) * out
 
     def magnetic(self, points):
-        # H = curl(a Phi) = grad(Phi) x a
-        g = grad_kernel(points, self.y, self.kappa)
-        return np.cross(g, self.a)
+        # H = curl(a Phi) = grad(Phi) x a, grad(Phi) = Phi' rhat
+        _, rhat, _, dp, _ = _radial_derivatives(points, self.y, self.kappa)
+        return np.cross(dp[..., None] * rhat, self.a)
 
 
 class PlaneWave:
@@ -168,21 +152,6 @@ def truncated_kernel_symbol(xi_norm, kappa, radius):
                   + radius**4 * kappa**2 / 8.0)
         out[zero] = -gp
     return out
-
-
-@dataclass
-class VectorFieldGrid:
-    """Complex 3-vector samples on a cube grid."""
-
-    grid: CubeGrid
-    values: np.ndarray  # (N, N, N, 3)
-
-    def __post_init__(self):
-        if self.values.shape != (self.grid.n,) * 3 + (3,):
-            raise ValueError("field shape does not match grid")
-
-    def l2(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.spacing**3))
 
 
 class ScatteringSolver:
@@ -320,17 +289,17 @@ class ScatteringSolver:
                              residuals=residuals, context=context)
         return x
 
-    def solve(self, source, x0=None, context=None) -> VectorFieldGrid:
-        """Total electric field for the given incident-field source."""
+    def solve(self, source, context=None) -> np.ndarray:
+        """Total electric field (N, N, N, 3) for the given incident-field
+        source."""
         b = source.electric(self.pts).ravel()
-        x = self._krylov(self._matvec, b,
-                         x0.ravel() if x0 is not None else b.copy(), context)
-        return VectorFieldGrid(self.n.grid, x.reshape((self.N,) * 3 + (3,)))
+        x = self._krylov(self._matvec, b, b.copy(), context)
+        return x.reshape((self.N,) * 3 + (3,))
 
-    def born_field(self, source) -> VectorFieldGrid:
-        """First Born approximation E_inc + potential(E_inc)."""
+    def born_field(self, source) -> np.ndarray:
+        """First Born approximation E_inc + potential(E_inc), (N, N, N, 3)."""
         e_inc = source.electric(self.pts)
-        return VectorFieldGrid(self.n.grid, e_inc + self.potential(e_inc))
+        return e_inc + self.potential(e_inc)
 
     def densities(self, e, q=None, p=None):
         """Volume densities (q E, p.E) on the nodes of B(pi); (q, p) as in
@@ -351,23 +320,22 @@ class ScatteringSolver:
             cached = self._map = (key, build(self.n.grid, self.kappa, points))
         return cached[1]
 
-    def scattered_at(self, e_total: VectorFieldGrid, points) -> np.ndarray:
+    def scattered_at(self, e_total, points) -> np.ndarray:
         """Scattered field at exterior points by direct quadrature.
 
         Valid for |x| > pi where the kernel is smooth across the support.
         """
         return self.receiver_map("near", points).apply(
-            *self.densities(e_total.values))
+            *self.densities(e_total))
 
-    def far_pattern(self, e_total: VectorFieldGrid, xhats) -> np.ndarray:
+    def far_pattern(self, e_total, xhats) -> np.ndarray:
         """Far-field amplitude E_inf(xhat) from the volume representation."""
-        return self.receiver_map("far", xhats).apply(
-            *self.densities(e_total.values))
+        return self.receiver_map("far", xhats).apply(*self.densities(e_total))
 
-    def residual(self, e_total: VectorFieldGrid, source) -> float:
+    def residual(self, e_total, source) -> float:
         """Relative Lippmann-Schwinger residual inside B(pi)."""
         e_inc = source.electric(self.pts)
-        r = e_total.values - self.potential(e_total.values) - e_inc
+        r = e_total - self.potential(e_total) - e_inc
         return float(np.linalg.norm(r[self.ball])
                      / np.linalg.norm(e_inc[self.ball]))
 
@@ -394,9 +362,9 @@ class ReceiverMap:
         if np.any(np.linalg.norm(points, axis=-1) <= np.pi):
             raise ValueError("evaluation points must lie outside B(pi)")
         ys = grid.points()[grid.radii() < np.pi]
-        x = points[:, None, :]
-        return cls(grid.spacing**3, kappa, helmholtz_kernel(x - ys, kappa),
-                   grad=grad_kernel(x, ys, kappa))
+        _, rhat, phi, dp, _ = _radial_derivatives(points[:, None, :], ys,
+                                                  kappa)
+        return cls(grid.spacing**3, kappa, phi, grad=dp[..., None] * rhat)
 
     @classmethod
     def far(cls, grid: CubeGrid, kappa: float, xhats) -> "ReceiverMap":
@@ -466,6 +434,14 @@ class SphereGrid:
         return self.radius * self.nodes
 
 
+def _data_norm(data) -> float:
+    """L2 norm of sphere data under its ``weights()``: the surface measure
+    of R S^2 x R S^2 (R^4 factor) for near data, S^2 x S^2 for far data."""
+    return float(np.sqrt(np.sum(data.weights()
+                                * np.sum(np.abs(data.matrices) ** 2,
+                                         axis=(2, 3)))))
+
+
 @dataclass
 class NearFieldData:
     """3x3 responses w(x, y) on receiver x sphere of source y sphere."""
@@ -480,11 +456,7 @@ class NearFieldData:
         return (self.receivers.weights[:, None] * self.sources.weights[None, :]
                 * self.receivers.radius**2 * self.sources.radius**2)
 
-    def norm(self) -> float:
-        """L2 norm over R S^2 x R S^2 with surface measure (R^4 factor)."""
-        return float(np.sqrt(np.sum(self.weights()
-                                    * np.sum(np.abs(self.matrices) ** 2,
-                                             axis=(2, 3)))))
+    norm = _data_norm
 
 
 @dataclass
@@ -499,10 +471,7 @@ class FarFieldData:
         """Quadrature weights (n_x, n_d) on S^2 x S^2."""
         return self.receivers.weights[:, None] * self.incidences.weights[None, :]
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.weights()
-                                    * np.sum(np.abs(self.matrices) ** 2,
-                                             axis=(2, 3)))))
+    norm = _data_norm
 
 
 def tangent_frame(d):

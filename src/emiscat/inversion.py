@@ -24,7 +24,14 @@ import scipy.linalg
 from scipy.optimize import OptimizeResult, minimize
 
 from .forward import DataColumns, ScatteringSolver, SolveError
-from .fourier import CubeGrid, RefractiveIndex, hm_norm, inverse_fourier
+from .fourier import (
+    UNITARY_FACTOR,
+    CubeGrid,
+    RefractiveIndex,
+    fourier_coeffs,
+    hm_norm,
+    inverse_fourier,
+)
 
 
 @dataclass
@@ -93,13 +100,12 @@ def band_limited_index(grid: CubeGrid, gamma_max: float, amplitude: float,
     spec[mask] /= (1.0 + g2[mask]) ** 2
     field = inverse_fourier(spec, grid).real  # real part -> Hermitian coeffs
     field *= amplitude / np.max(np.abs(field))
-    from .fourier import fourier_coeffs
     coeffs = fourier_coeffs(field.astype(complex), grid)
     coeffs[~mask] = 0.0
     if imag_shift:
         if imag_shift < 0:
             raise ValueError("imag_shift must be nonnegative")
-        coeffs[0, 0, 0] += 1j * imag_shift * (2.0 * np.pi) ** 1.5
+        coeffs[0, 0, 0] += 1j * imag_shift * UNITARY_FACTOR
     return ContrastMedium(grid=grid, coeffs=coeffs)
 
 
@@ -148,12 +154,12 @@ class _ForwardState:
         self.fields = [self.solver.solve(s, context=lab) for s, lab in
                        zip(self.columns.sources, self.columns.labels)]
         self.matrices = self.columns.assemble(
-            [self._measure_rows(f.values) for f in self.fields])
+            [self._measure_rows(f) for f in self.fields])
         self._jac = None
 
-    def _measure_rows(self, e_values):
+    def _measure_rows(self, e):
         """Linear measurement of one field: (n_rec, 3) rows."""
-        return self.map.apply(*self.solver.densities(e_values))
+        return self.map.apply(*self.solver.densities(e))
 
     def measurement_weights(self):
         return self.problem.data.weights()
@@ -209,8 +215,7 @@ class _ForwardState:
         w = psi_c + s.p * chi_n[..., None]  # paired with u in dq and dp
         out = np.empty((len(self.fields), len(transpose.ik[0])), dtype=complex)
         t = np.empty((4,) + chi_n.shape, dtype=complex)
-        for k, fld in enumerate(self.fields):
-            u = fld.values
+        for k, u in enumerate(self.fields):
             t[0] = -np.einsum("...c,...c->...", u, w)
             t[1:] = np.moveaxis(u, -1, 0) * chi_n
             L = transpose(t)
@@ -263,7 +268,7 @@ class _CoeffTranspose:
         self.index = [g + r for g in gam]
         self.dft = np.exp(2j * np.pi / grid.n * np.arange(grid.n)[:, None]
                           * np.arange(-r, r + 1))
-        scale = grid.spacing**3 / (2.0 * np.pi) ** 1.5
+        scale = grid.spacing**3 / UNITARY_FACTOR
         self.factor = (-1.0) ** sum(gam) / (scale * grid.n**3)
         self.ik = [1j * f[mask] for f in grid.frequencies()]
 
@@ -299,8 +304,7 @@ def frechet_apply(problem: InverseProblem, medium, h_coeffs) -> np.ndarray:
     dq = -v
     dp = (w - s.p * v[..., None]) / nvals[..., None]
     d_rows = []
-    for fld, label in zip(state.fields, state.columns.labels):
-        u = fld.values
+    for u, label in zip(state.fields, state.columns.labels):
         du = s._krylov(s._matvec, s.potential(u, dq, dp).ravel(),
                        context=label).reshape(u.shape)
         # measurement perturbation: medium term plus field term
@@ -528,10 +532,7 @@ def rate_study(n_true: RefractiveIndex, problem: InverseProblem,
     for delta, seed in zip(deltas, seeds):
         noisy = add_noise(clean, delta, seed)
         alpha = alpha_rule(delta, A, nu)
-        sub = InverseProblem(kind=problem.kind, kappa=problem.kappa,
-                             grid=problem.grid, data=noisy, delta=delta,
-                             m=problem.m, gamma_max=problem.gamma_max,
-                             b=problem.b, rtol=problem.rtol)
+        sub = replace(problem, data=noisy, delta=delta)
         rec = tikhonov_reconstruct(sub, alpha, init_coeffs=init,
                                    maxiter=maxiter)
         init = rec.coeffs

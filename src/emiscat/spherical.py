@@ -21,16 +21,6 @@ from scipy.special import sph_harm_y, spherical_jn, spherical_yn
 from .forward import FarFieldData
 
 
-def sph_harmonic(l, k, direction):
-    """Orthonormal spherical harmonic Y_l^k at unit vectors (..., 3)."""
-    if abs(k) > l:
-        raise ValueError(f"order |k|={abs(k)} exceeds degree l={l}")
-    d = np.asarray(direction, dtype=float)
-    theta = np.arccos(np.clip(d[..., 2], -1.0, 1.0))
-    phi = np.arctan2(d[..., 1], d[..., 0])
-    return sph_harm_y(l, k, theta, phi)
-
-
 def harmonic_table(L, directions):
     """All Y_l^k for l <= L at the given unit vectors.
 

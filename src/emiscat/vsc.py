@@ -14,16 +14,20 @@ Exponentially large factors (e^{3Rt}) are carried in the log domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cgo import cgo_solve, cgo_vectors, rotation_to_axis
+from .cgo import cgo_solve, cgo_vectors
 from .forward import NearFieldData
-from .fourier import RefractiveIndex, SobolevParams, hm_inner, hm_norm
+from .fourier import (
+    UNITARY_FACTOR,
+    RefractiveIndex,
+    SobolevParams,
+    hm_inner,
+    hm_norm,
+)
 from .spherical import psi_near
-
-UNITARY = (2.0 * np.pi) ** 1.5
 
 
 @dataclass(frozen=True)
@@ -111,9 +115,7 @@ def boundary_operator_N(w: NearFieldData, a: np.ndarray,
 
 def data_diff_norm(w1: NearFieldData, w2: NearFieldData) -> float:
     """L2(R S^2 x R S^2) norm of the data difference (surface measure)."""
-    diff = NearFieldData(receivers=w1.receivers, sources=w1.sources,
-                         matrices=w1.matrices - w2.matrices)
-    return diff.norm()
+    return replace(w1, matrices=w1.matrices - w2.matrices).norm()
 
 
 def check_difftodata(n1: RefractiveIndex, n2: RefractiveIndex,
@@ -218,11 +220,12 @@ def cgo_pair_estimate(n1: RefractiveIndex, n2: RefractiveIndex, gamma,
     gamma = np.asarray(gamma, dtype=float)
     g = np.linalg.norm(gamma)
     v = cgo_vectors(gamma, t, kappa)
-    rot = rotation_to_axis(v.a1, v.a2, gamma / g)
-    s1 = cgo_solve(n1, rot @ v.zeta1, rot @ v.eta1, R, m_grid=m_grid,
-                   kappa=kappa, rotation=rot)
-    s2 = cgo_solve(n2, rot @ v.zeta2, rot @ v.eta2, R, m_grid=m_grid,
-                   kappa=kappa, rotation=rot)
+    rot = v.rotation
+    s1 = cgo_solve(n1, v.zeta1, v.eta1, R, m_grid=m_grid, kappa=kappa,
+                   rotation=rot)
+    s2 = cgo_solve(n2, v.zeta2, v.eta2, R, m_grid=m_grid, kappa=kappa,
+                   rotation=rot)
+    # the pairing runs on the CGO cube, in the rotated frame
     grid = s1.grid
     dn = s1.n_values - s2.n_values
     phase = np.exp(-1j * grid.points() @ (rot @ gamma))
@@ -233,14 +236,12 @@ def cgo_pair_estimate(n1: RefractiveIndex, n2: RefractiveIndex, gamma,
 
     dot = np.einsum("...j,...j->...", s1.u, s2.u)
     total = pair(dot)
-    z1, z2 = rot @ v.zeta1, rot @ v.zeta2
-    e1, e2 = rot @ v.eta1, rot @ v.eta2
     corr = pair(-g * (s1.f + s2.f)
-                + s2.V @ e1 + s1.V @ e2
+                + s2.V @ s1.eta + s1.V @ s2.eta
                 + s1.f * s2.f * (g**2 / 2.0 - kappa**2)
-                + s1.f * (s2.V @ z1) + s2.f * (s1.V @ z2)
+                + s1.f * (s2.V @ s1.zeta) + s2.f * (s1.V @ s2.zeta)
                 + np.einsum("...j,...j->...", s1.V, s2.V))
-    lead = UNITARY * (1.0 + g**2 / (4.0 * t**2))
+    lead = UNITARY_FACTOR * (1.0 + g**2 / (4.0 * t**2))
     return complex((total - corr) / lead), complex(total / lead)
 
 

@@ -11,8 +11,6 @@ from emiscat.cgo import (
     cgo_solve,
     cgo_vectors,
     q_bound,
-    q_matrix,
-    rotation_to_axis,
     t_min,
 )
 from emiscat.fourier import BumpProfile, CubeGrid, RefractiveIndex, make_test_index
@@ -33,6 +31,31 @@ def axis_aligned_zeta(t, kappa=KAPPA):
     zeta = np.array([np.sqrt(t**2 + kappa**2), 0.0, 1j * t])
     eta = np.array([0.0, 1.0, 0.0], dtype=complex)
     return zeta, eta
+
+
+def q_matrix(med):
+    """Explicit 6x6 potential matrix field (6, 6, m, m, m) of a
+    ``MediumFields``: the oracle of its action ``q_apply``."""
+    q = np.zeros((6, 6) + med.values.shape, dtype=complex)
+    wx, wy, wz = med.w
+    cross = np.zeros((3, 3) + med.values.shape, dtype=complex)  # w x .
+    cross[0, 1], cross[0, 2] = -wz, wy
+    cross[1, 0], cross[1, 2] = wz, -wx
+    cross[2, 0], cross[2, 1] = -wy, wx
+    q[:3, 3:] = -cross
+    q[3:, :3] = cross
+    q[:3, :3] = -med.jac_p
+    for i in range(3):
+        q[i, i] += med.k2q_helm
+        q[i + 3, i + 3] = med.k2q
+    return q
+
+
+def shifted_gradient(op, f):
+    """Spectral gradient (3, ...) of a shifted-band (antiperiodic) field
+    f (..., m, m, m) under a ``FaddeevOperator``; component d is d_d f."""
+    g = op._forward(f)
+    return op._inverse(np.stack([1j * xi * g for xi in op._xi]))
 
 
 class TestThresholds:
@@ -94,19 +117,22 @@ class TestCgoVectors:
 
 
 class TestRotation:
-    def test_rotation_to_axis(self):
-        v = cgo_vectors(np.array([1.0, 2.0, -1.0]), 20.0, 1.0)
-        ghat = v.gamma / np.linalg.norm(v.gamma)
-        rot = rotation_to_axis(v.a1, v.a2, ghat)
-        assert np.max(np.abs(rot @ rot.T - np.eye(3))) < 1e-12
-        assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(rot @ v.a1 - np.array([0, 0, 1.0]))) < 1e-12
+    def test_cgo_vectors_rotation(self):
+        rng = np.random.default_rng(9)
+        gammas = [np.array([1.0, 2.0, -1.0])] + [
+            g for g in rng.integers(-3, 4, size=(30, 3)).astype(float)
+            if np.any(g)]
+        for gamma in gammas:
+            v = cgo_vectors(gamma, 20.0, 1.0)
+            rot = v.rotation
+            assert np.max(np.abs(rot @ rot.T - np.eye(3))) < 1e-12
+            assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
+            assert np.max(np.abs(rot @ v.a1 - np.array([0, 0, 1.0]))) < 1e-12
 
     def test_profile_matches_rotated_centers(self):
         # closed-form oracle: n(rot^T x) is the profile with centres rot c
         n = bump_medium(n_grid=16)
-        v = cgo_vectors(np.array([0.0, 1.0, 1.0]), 15.0, 1.0)
-        rot = rotation_to_axis(v.a1, v.a2, v.gamma / np.sqrt(2.0))
+        rot = cgo_vectors(np.array([0.0, 1.0, 1.0]), 15.0, 1.0).rotation
         med = MediumFields(n, R_CGO, 32, KAPPA, rot)
         prof = n.profile
         rotated = BumpProfile(
@@ -119,9 +145,7 @@ class TestRotation:
         # a genuine rotation, not a permutation of the axes
         n = bump_medium(n_grid=16, width=1.8)
         plain = RefractiveIndex(grid=n.grid, values=n.values, b=n.b)
-        gamma = np.array([1.0, -1.0, 1.0])
-        v = cgo_vectors(gamma, 15.0, KAPPA)
-        rot = rotation_to_axis(v.a1, v.a2, gamma / np.linalg.norm(gamma))
+        rot = cgo_vectors(np.array([1.0, -1.0, 1.0]), 15.0, KAPPA).rotation
         a = MediumFields(n, R_CGO, 32, KAPPA, rot)
         b = MediumFields(plain, R_CGO, 32, KAPPA, rot)
         # generic path uses trigonometric interpolation: aliasing-level match
@@ -153,8 +177,8 @@ class TestFaddeev:
         f = (rng.standard_normal((16,) * 3)
              + 1j * rng.standard_normal((16,) * 3))
         g = op(f)
-        grad = op.shifted_gradient(g)
-        lap = sum(op.shifted_gradient(grad[c])[c] for c in range(3))
+        grad = shifted_gradient(op, g)
+        lap = sum(shifted_gradient(op, grad[c])[c] for c in range(3))
         lhs = lap + 2j * np.einsum("j,j...->...", zeta, grad)
         assert np.max(np.abs(lhs + f)) < 1e-9 * np.max(np.abs(f))
 
@@ -177,7 +201,7 @@ class TestFaddeev:
         rng = np.random.default_rng(6)
         v = (rng.standard_normal((3,) + (16,) * 3)
              + 1j * rng.standard_normal((3,) + (16,) * 3))
-        d = [op.shifted_gradient(v[c]) for c in range(3)]  # d[c][j] = d_j v_c
+        d = [shifted_gradient(op, v[c]) for c in range(3)]  # d[c][j] = d_j v_c
         expected = np.stack([d[2][1] - d[1][2], d[0][2] - d[2][0],
                              d[1][0] - d[0][1]])
         assert np.max(np.abs(op.shifted_curl(v) - expected)) < 1e-12
@@ -218,8 +242,8 @@ class TestMediumFields:
 
     def test_q_matrix_matches_action(self):
         n = bump_medium(n_grid=16)
-        q, grid = q_matrix(n, R_CGO, 16, KAPPA)
         med = MediumFields(n, R_CGO, 16, KAPPA)
+        q = q_matrix(med)
         rng = np.random.default_rng(2)
         A = rng.standard_normal((3, 16, 16, 16)) + 0j
         B = rng.standard_normal((3, 16, 16, 16)) + 0j
@@ -232,7 +256,7 @@ class TestMediumFields:
     def test_q_bound_dominates(self):
         # the explicit matrix stays below the generic spectral-norm bound
         n = bump_medium(n_grid=16)
-        q, _ = q_matrix(n, R_CGO, 16, KAPPA)
+        q = q_matrix(MediumFields(n, R_CGO, 16, KAPPA))
         spectral = np.linalg.norm(np.moveaxis(q, (0, 1), (-2, -1))
                                   .reshape(-1, 6, 6), ord=2, axis=(1, 2))
         lm_cm = 2.0  # a crude admissible-class constant for this medium
@@ -265,10 +289,8 @@ class TestCgoSolve:
     def test_rotated_frame(self):
         n = bump_medium()
         v = cgo_vectors(np.array([1.0, 1.0, 0.0]), 25.0, KAPPA)
-        ghat = v.gamma / np.linalg.norm(v.gamma)
-        rot = rotation_to_axis(v.a1, v.a2, ghat)
-        sol = cgo_solve(n, rot @ v.zeta1, rot @ v.eta1, R_CGO, m_grid=32,
-                        rotation=rot)
+        sol = cgo_solve(n, v.zeta1, v.eta1, R_CGO, m_grid=32,
+                        rotation=v.rotation)
         assert sol.residual < 1e-3
 
     def test_transform_count(self, monkeypatch):
@@ -301,14 +323,15 @@ class TestCgoSolve:
     @pytest.mark.parametrize("gamma, t", [((1.0, -1.0, 1.0), 1e4),
                                           ((1.0, 0.0, 0.0), 2.5e5)])
     def test_constraints_scale_with_zeta(self, gamma, t):
-        # rotation_to_axis leaves zeta.zeta - kappa^2 at about |zeta|^2 eps
+        # the rotation into the CGO frame leaves zeta.zeta - kappa^2 at
+        # about |zeta|^2 eps
         n = bump_medium(n_grid=16)
-        gamma = np.array(gamma)
-        v = cgo_vectors(gamma, t, KAPPA)
-        rot = rotation_to_axis(v.a1, v.a2, gamma / np.linalg.norm(gamma))
+        v = cgo_vectors(np.array(gamma), t, KAPPA)
+        rot = v.rotation
         zeta, eta = rot @ v.zeta1, rot @ v.eta1
         assert abs(zeta @ zeta - KAPPA**2) > 1e-8
-        cgo_solve(n, zeta, eta, R_CGO, m_grid=16, kappa=KAPPA, rotation=rot)
+        cgo_solve(n, v.zeta1, v.eta1, R_CGO, m_grid=16, kappa=KAPPA,
+                  rotation=rot)
         wrong = zeta + np.array([1e-6 * t, 0.0, 0.0])
         with pytest.raises(CgoError, match="zeta.zeta"):
             cgo_solve(n, wrong, eta, R_CGO, m_grid=16, kappa=KAPPA)

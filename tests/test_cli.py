@@ -16,6 +16,13 @@ def write_config(path, text):
     return str(path)
 
 
+def assert_manifest_complete(out):
+    """The output directory holds exactly the manifest's artifacts."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    files = {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert files == set(manifest["artifacts"])
+
+
 BASE = """
 [physics]
 kappa = 1.0
@@ -106,6 +113,7 @@ class TestForwardPipeline:
         cfg = write_config(tmp_path / "c.ini", BASE)
         out = tmp_path / "out"
         manifest = run("forward", cfg, out_dir=str(out), seed=3)
+        assert_manifest_complete(out)
         assert set(manifest["artifacts"]) == {"total_field.fld",
                                               "scattered_field.fld",
                                               "forward_summary.json"}
@@ -147,6 +155,7 @@ class TestDataPipelines:
         cfg = write_config(tmp_path / "c.ini", BASE + BUMP)
         out = tmp_path / "out"
         run("nearfield", cfg, out_dir=str(out))
+        assert_manifest_complete(out)
         summary = json.loads((out / "nearfield_summary.json").read_text())
         assert summary["norm"] > 0
         assert (out / "near_data.dat").exists()
@@ -164,6 +173,7 @@ class TestDataPipelines:
         cfg = write_config(tmp_path / "c.ini", BASE + BUMP)
         out = tmp_path / "out"
         run("farfield", cfg, out_dir=str(out))
+        assert_manifest_complete(out)
         summary = json.loads((out / "farfield_summary.json").read_text())
         assert summary["norm"] > 0
 
@@ -185,6 +195,7 @@ m_grid = 24
         monkeypatch.setattr(cli, "cgo_solve", recorded)
         out = tmp_path / "out"
         run("cgo", cfg, out_dir=str(out))
+        assert_manifest_complete(out)
         summary = json.loads((out / "cgo_summary.json").read_text())
         assert summary["residual"] < 1e-2
         assert summary["contraction"] < 1.0
@@ -221,6 +232,7 @@ amplitude = 0.02
 """)
         out = tmp_path / "out"
         run("vsc-check", cfg, out_dir=str(out), seed=5)
+        assert_manifest_complete(out)
         summary = json.loads((out / "vsc_summary.json").read_text())
         assert summary["violations"] == 0
         assert summary["A"] >= 0.0
@@ -260,6 +272,7 @@ maxiter = 5
 """)
         out = tmp_path / "out"
         run("invert", cfg, out_dir=str(out), seed=9)
+        assert_manifest_complete(out)
         summary = json.loads((out / "invert_summary.json").read_text())
         assert summary["misfit"] >= 0
         assert summary["monotone"]
@@ -281,6 +294,7 @@ maxiter = 4
 """)
         out = tmp_path / "out"
         run("rates", cfg, out_dir=str(out), seed=2)
+        assert_manifest_complete(out)
         with open(out / "rates.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["delta", "alpha", "error", "misfit", "iterations"]
@@ -309,6 +323,7 @@ s = 6.0
 """)
         out = tmp_path / "out"
         run("near2far", cfg, out_dir=str(out))
+        assert_manifest_complete(out)
         summary = json.loads((out / "near2far_summary.json").read_text())
         assert summary["relative_error"] == 0.0
         assert summary["direct_norm"] == 0.0

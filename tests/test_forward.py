@@ -17,7 +17,6 @@ from emiscat.forward import (
     SphereGrid,
     background_green,
     far_field_operator,
-    helmholtz_kernel,
     near_field_operator,
     truncated_kernel_symbol,
 )
@@ -136,8 +135,9 @@ class TestKernelSymbol:
             assert abs(got - (re + 1j * im)) < 1e-9
 
     def test_kernel_positive_radius(self):
-        with pytest.raises(ValueError):
-            helmholtz_kernel(np.zeros(3), KAPPA)
+        y = np.array([0.5, -0.2, 0.1])
+        with pytest.raises(ValueError, match="coincident"):
+            DipoleSource(y, np.eye(3)[0], KAPPA).magnetic(y[None, :])
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_solver_symbol_matches_full_lattice(self, n):
@@ -158,7 +158,7 @@ class TestSolver:
         solver = ScatteringSolver(n, KAPPA)
         pw = PlaneWave(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), KAPPA)
         e = solver.solve(pw)
-        assert np.max(np.abs(e.values - pw.electric(grid.points()))) < 1e-12
+        assert np.max(np.abs(e - pw.electric(grid.points()))) < 1e-12
 
     def test_residual_small(self):
         grid = CubeGrid(np.pi, 24)
@@ -178,8 +178,8 @@ class TestSolver:
             e = solver.solve(pw)
             born = solver.born_field(pw)
             e_inc = pw.electric(grid.points())
-            dev = np.linalg.norm(e.values - born.values)
-            born_term = np.linalg.norm(born.values - e_inc)
+            dev = np.linalg.norm(e - born)
+            born_term = np.linalg.norm(born - e_inc)
             ratios.append(dev / born_term)
         for r1, r2 in zip(ratios, ratios[1:]):
             assert 1.5 <= r1 / r2 <= 2.5

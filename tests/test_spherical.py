@@ -14,25 +14,25 @@ from emiscat.spherical import (
     psi_compose,
     psi_near,
     reconstruct_far,
-    sph_harmonic,
     sph_hankel1,
 )
+
+
+def harmonic(l, k, d):
+    """Y_l^k at one unit vector: row l^2 + l + k of the harmonic table."""
+    return harmonic_table(l, d)[FarCoeffs.index(l, k)]
 
 
 class TestSphHarmonic:
     def test_y00(self):
         d = np.array([0.3, -0.5, 0.81])
         d /= np.linalg.norm(d)
-        assert sph_harmonic(0, 0, d) == pytest.approx(1.0 / np.sqrt(4 * np.pi),
-                                                      rel=1e-12)
+        assert harmonic(0, 0, d) == pytest.approx(1.0 / np.sqrt(4 * np.pi),
+                                                  rel=1e-12)
 
     def test_y10_north_pole(self):
-        got = sph_harmonic(1, 0, np.array([0.0, 0.0, 1.0]))
+        got = harmonic(1, 0, np.array([0.0, 0.0, 1.0]))
         assert got == pytest.approx(np.sqrt(3.0 / (4 * np.pi)), rel=1e-12)
-
-    def test_invalid_order(self):
-        with pytest.raises(ValueError):
-            sph_harmonic(2, 3, np.array([0.0, 0.0, 1.0]))
 
     def test_orthonormality(self):
         sg = SphereGrid.build(1.0, 10, 19)  # degree 18: exact through l=8
@@ -45,7 +45,7 @@ class TestSphHarmonic:
         d = rng.standard_normal(3)
         d /= np.linalg.norm(d)
         for l in range(11):
-            total = sum(abs(sph_harmonic(l, k, d)) ** 2 for k in range(-l, l + 1))
+            total = sum(abs(harmonic(l, k, d)) ** 2 for k in range(-l, l + 1))
             assert total == pytest.approx((2 * l + 1) / (4 * np.pi), abs=1e-10)
 
 
