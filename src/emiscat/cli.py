@@ -311,8 +311,11 @@ def run_cgo(cfg, ws: Workspace):
              "cgo-electric-profile")
     ws.write("cgo_h.fld", containers.write_field, sol.h, sol.grid,
              "cgo-magnetic-profile")
+    # zeta, eta and the fields are in the rotated CGO frame; rotation^T
+    # brings zeta and eta back to the medium's frame
     ws.write("cgo_summary.json", _write_json, {
-        "kind": "cgo", "t": sol.t, "kappa": cfg.kappa,
+        "kind": "cgo", "t": cfg.cgo_t, "kappa": cfg.kappa,
+        "frame": "rotated", "rotation": v.rotation.tolist(),
         "zeta_re": list(np.real(sol.zeta)), "zeta_im": list(np.imag(sol.zeta)),
         "eta_re": list(np.real(sol.eta)), "eta_im": list(np.imag(sol.eta)),
         "residual": sol.residual, "iterations": sol.iterations,

@@ -9,7 +9,10 @@ by periodizing the kernel, truncated at radius 2*pi, on the enclosing cube
 of half-side 2*pi; the truncated kernel's Fourier symbol is known in closed
 form, so one application costs a few FFTs on the (2N)^3 padded grid,
 pruned to skip all-zero lines.  Truncation at 2*pi is exact for source and
-observation points in B(pi).
+observation points in B(pi).  The transforms run in place on work buffers
+that each :class:`ScatteringSolver` allocates once, so a solver serves one
+caller at a time; the gradient term joins each component on the slab
+transformed along that component's axis, where i*k_c is a 1-D factor.
 
 Near- and far-field data operators assemble the 3x3 matrix responses to
 dipole and plane-wave excitations on measurement spheres.  Both, and the
@@ -154,6 +157,18 @@ def truncated_kernel_symbol(xi_norm, kappa, radius):
     return out
 
 
+# the two axes other than c, for c = 0, 1, 2
+_OTHERS = ((1, 2), (0, 2), (0, 1))
+
+
+def _in_place(transform, view, ax):
+    """scipy.fft.fftn or ifftn of ``view`` along ``ax``, left in ``view``;
+    copied back should the transform not have overwritten its input."""
+    out = transform(view, axes=(ax,), overwrite_x=True)
+    if not np.may_share_memory(out, view):
+        view[...] = out
+
+
 class ScatteringSolver:
     """Matrix-free Lippmann-Schwinger solver for one medium at one kappa."""
 
@@ -185,7 +200,7 @@ class ScatteringSolver:
         # symbol of the truncated kernel on the padded lattice, k = j/2 with
         # integer j: |k|^2 = s/4 for the integer s = |j|^2 <= 3N^2, so the
         # symbol is evaluated once per s and gathered; i*k along axis c as a
-        # broadcast 1-D vector; the grid's block along axis c
+        # broadcast 1-D vector
         j = np.r_[:N, -N:0]  # FFT layout of the 2N-point lattice
         j2 = j * j
         s = j2[:, None, None] + j2[None, :, None] + j2[None, None, :]
@@ -194,40 +209,75 @@ class ScatteringSolver:
             2.0 * np.pi)[s]
         k = 0.5 * j
         self.ik = [1j * k.reshape(np.roll((-1, 1, 1), c)) for c in range(3)]
-        self._block = [(slice(None),) * c + (slice(N // 2, N // 2 + N),)
-                       for c in range(3)]
+        # work buffers of the two potentials, allocated once: the padded
+        # cube, and a slab that is M long along one axis and N along the
+        # others, viewed along whichever axis the component needs
+        self._cube = np.empty((self.M,) * 3, dtype=complex)
+        self._slab = np.empty(self.M * N * N, dtype=complex)
+        self._inner = slice(N // 2, N // 2 + N)
 
-    def _padded_fft(self, x):
-        """FFT of x zero-padded to M^3, padding each axis only when it is
-        transformed: (N,N,N) -> (M,N,N) -> (M,M,N) -> (M,M,M)."""
-        for ax in range(3):
-            pad = np.zeros(x.shape[:ax] + (self.M,) + x.shape[ax + 1:],
-                           dtype=complex)
-            pad[self._block[ax]] = x
-            x = scipy.fft.fftn(pad, axes=(ax,), overwrite_x=True)
-        return x
+    def _lines(self, full):
+        """View of the cube spanning the axes in ``full`` and the centred
+        block along the others."""
+        return self._cube[tuple(slice(None) if ax in full else self._inner
+                                for ax in range(3))]
 
-    def _cropped_ifft(self, spec):
-        """Inverse FFT of spec (overwritten), cropped to N^3 axis by axis."""
-        for ax in (2, 1, 0):
-            spec = np.ascontiguousarray(scipy.fft.ifftn(
-                spec, axes=(ax,), overwrite_x=True)[self._block[ax]])
-        return spec
+    def _slab_along(self, c):
+        """The slab buffer shaped M along axis c and N along the others."""
+        shape = [self.N] * 3
+        shape[c] = self.M
+        return self._slab.reshape(shape)
+
+    def _fft(self, view, ax):
+        """FFT of ``view`` along ``ax``, its pads along ``ax`` zeroed first;
+        the block along ``ax`` holds the data."""
+        lead = (slice(None),) * ax
+        view[lead + (slice(None, self._inner.start),)] = 0
+        view[lead + (slice(self._inner.stop, None),)] = 0
+        _in_place(scipy.fft.fftn, view, ax)
+
+    def _fft_cube(self, axes, full=()):
+        """Padded FFT of the cube in place along ``axes`` in turn, given it
+        already spans ``full``: each pass runs only over the lines that
+        reach the data."""
+        for ax in axes:
+            full += (ax,)
+            self._fft(self._lines(full), ax)
+
+    def _ifft_cube(self, axes):
+        """Inverse FFT of the whole cube in place along ``axes`` in turn,
+        each pass only over the lines the cropped result keeps; returns
+        the view still spanning the other axes."""
+        full = (0, 1, 2)
+        for ax in axes:
+            view = self._lines(full)
+            _in_place(scipy.fft.ifftn, view, ax)
+            full = tuple(a for a in full if a != ax)
+        return self._lines(full)
 
     def potential(self, e, q=None, p=None):
         """-kappa^2 conv(Phi, q E) + grad conv(Phi, p.E) on the grid.
 
         (q, p) default to the medium's; a medium perturbation passes its
-        own."""
+        own.  Component c is transformed along axis c first, where the
+        gradient term i k_c FFT_c(p.E) joins it on the slab."""
         if q is None:
             q, p = self.q, self.p
-        ghat = self._padded_fft(np.einsum("...c,...c->...", p, e))
+        mq = -self.kappa**2 * q
+        pe = np.einsum("...c,...c->...", p, e)
         out = np.empty_like(e)
-        for c in range(3):
-            spec = self._padded_fft(-self.kappa**2 * q * e[..., c])
-            spec += ghat * self.ik[c]
-            spec *= self.symbol
-            out[..., c] = self._cropped_ifft(spec)
+        for c, (a, b) in enumerate(_OTHERS):
+            np.multiply(mq, e[..., c], out=self._lines(()))
+            self._fft_cube((c,))
+            slab = self._slab_along(c)
+            slab[(slice(None),) * c + (self._inner,)] = pe
+            self._fft(slab, c)
+            slab *= self.ik[c]
+            spec = self._lines((c,))
+            spec += slab
+            self._fft_cube((a, b), full=(c,))
+            self._cube *= self.symbol
+            out[..., c] = self._ifft_cube((b, a, c))
         return out
 
     def potential_adjoint(self, lam):
@@ -235,17 +285,29 @@ class ScatteringSolver:
 
         Returns the vector field paired with q E and the scalar field paired
         with p.E, so that the adjoint potential is
-        conj(q) * vec + conj(p) * sca.  FFT(lam_c) serves both terms."""
-        csym = np.conj(self.symbol)
-        acc = np.zeros_like(csym)
+        conj(q) * vec + conj(p) * sca.  Once conj(symbol) FFT(lam_c) is
+        inverted along the two other axes, vec_c and the -i k_c term of sca
+        share that slab."""
+        cube = self._cube
         vec = np.empty_like(lam)
-        for c in range(3):
-            lhat = self._padded_fft(lam[..., c])
-            acc -= lhat * self.ik[c]  # conj(i k) = -i k
-            lhat *= csym
-            vec[..., c] = self._cropped_ifft(lhat)
-        acc *= csym
-        return -self.kappa**2 * vec, self._cropped_ifft(acc)
+        sca = np.zeros(lam.shape[:-1], dtype=complex)
+        for c, (a, b) in enumerate(_OTHERS):
+            self._lines(())[...] = lam[..., c]
+            self._fft_cube((c, a, b))
+            # cube *= conj(symbol) without a temporary
+            np.conjugate(cube, out=cube)
+            cube *= self.symbol
+            np.conjugate(cube, out=cube)
+            spec = self._ifft_cube((b, a))
+            slab = self._slab_along(c)
+            # conj(i k) = -i k, hence the subtraction
+            np.multiply(spec, self.ik[c], out=slab)
+            _in_place(scipy.fft.ifftn, slab, c)
+            crop = (slice(None),) * c + (self._inner,)
+            sca -= slab[crop]
+            _in_place(scipy.fft.ifftn, spec, c)
+            np.multiply(spec[crop], -self.kappa**2, out=vec[..., c])
+        return vec, sca
 
     def _matvec(self, flat):
         e = flat.reshape((self.N,) * 3 + (3,))

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from emiscat import cli
+from emiscat import cli, cgo_vectors
 from emiscat.cli import ConfigError, load_config, main, run, verify_manifest
 from emiscat.io import read_field
 
@@ -201,6 +201,13 @@ m_grid = 24
         assert summary["contraction"] < 1.0
         (sol,) = solutions
         assert summary["iterations"] == len(sol.contraction) + 1
+        # zeta is written in the rotated frame, with the rotation that
+        # brings it back to the medium's frame
+        assert summary["t"] == 25.0 and summary["frame"] == "rotated"
+        zeta = np.array(summary["zeta_re"]) + 1j * np.array(summary["zeta_im"])
+        want = cgo_vectors((1.0, 0.0, 0.0), 25.0, 1.0).zeta1
+        rot = np.array(summary["rotation"])
+        assert np.max(np.abs(rot.T @ zeta - want)) <= 1e-12
         assert (out / "cgo_u.fld").exists() and (out / "cgo_h.fld").exists()
 
     def test_cgo_needs_parameters(self, tmp_path):

@@ -565,7 +565,7 @@ class TestPrunedPotential:
     def _rel(a, b):
         return np.linalg.norm(a - b) / np.linalg.norm(b)
 
-    @pytest.mark.parametrize("n_grid", [8, 12, 16])
+    @pytest.mark.parametrize("n_grid", [8, 12, 16, 24])
     def test_matches_full_pad(self, n_grid):
         solver = ScatteringSolver(bump_medium(CubeGrid(np.pi, n_grid)), KAPPA)
         assert not hasattr(solver, "grad_symbol")
@@ -581,3 +581,40 @@ class TestPrunedPotential:
         for got, want in zip(solver.potential_adjoint(lam),
                              oracle_potential_adjoint(solver, lam)):
             assert self._rel(got, want) <= 1e-13
+
+    def test_copying_transforms(self, monkeypatch):
+        # transforms that leave their input as it is and return a new array
+        # give the same potentials: nothing relies on overwrite_x
+        for name in ("fftn", "ifftn"):
+            def copying(x, *args, _transform=getattr(scipy.fft, name),
+                        **kwargs):
+                return _transform(np.array(x), *args, **kwargs)
+            monkeypatch.setattr(scipy.fft, name, copying)
+        solver = ScatteringSolver(bump_medium(CubeGrid(np.pi, 8)), KAPPA)
+        rng = np.random.default_rng(8)
+        e, lam = _random(rng, (8, 8, 8, 3)), _random(rng, (8, 8, 8, 3))
+        assert self._rel(solver.potential(e),
+                         oracle_potential(solver, e, solver.q, solver.p)) \
+            <= 1e-13
+        for got, want in zip(solver.potential_adjoint(lam),
+                             oracle_potential_adjoint(solver, lam)):
+            assert self._rel(got, want) <= 1e-13
+
+    def test_results_survive_later_calls(self):
+        # the solver transforms in work buffers it keeps: a result must not
+        # be one of them, nor change when the solver is called again
+        solver = ScatteringSolver(bump_medium(CubeGrid(np.pi, 8)), KAPPA)
+        rng = np.random.default_rng(9)
+        e1, e2 = _random(rng, (8, 8, 8, 3)), _random(rng, (8, 8, 8, 3))
+        first = solver.potential(e1)
+        kept = first.copy()
+        solver.potential(e2)
+        assert np.array_equal(first, kept)
+        adj = solver.potential_adjoint(e1)
+        kept = [a.copy() for a in adj]
+        solver.potential_adjoint(e2)
+        assert all(np.array_equal(a, k) for a, k in zip(adj, kept))
+        buffers = [v for v in vars(solver).values()
+                   if isinstance(v, np.ndarray)]
+        for result in (first, *adj):
+            assert not any(np.shares_memory(result, b) for b in buffers)

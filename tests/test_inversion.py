@@ -362,6 +362,22 @@ class TestMisfitGradient:
         assert value2 == value
         assert np.array_equal(grad2, grad)
 
+    def test_adjoint_solve_result_survives(self):
+        # the (vec, sca) kept from the adjoint solve's last matvec is not
+        # overwritten by a later potential_adjoint on the same solver
+        prob = small_problem(8)
+        med = band_limited_index(prob.grid, 2.0, 0.05, seed=1)
+        state = _ForwardState(prob, med)
+        rng = np.random.default_rng(12)
+        shape = (8, 8, 8, 3)
+        rho = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        lam, kept = state.adjoint_solve(rho)
+        copies = [k.copy() for k in kept]
+        state.solver.potential_adjoint(np.conj(lam))
+        assert all(np.array_equal(k, c) for k, c in zip(kept, copies))
+        fresh = state.solver.potential_adjoint(lam)
+        assert all(np.array_equal(f, k) for f, k in zip(fresh, kept))
+
     def test_exact_data_zero_gradient(self):
         # r = 0 gives J^H W r = 0 exactly; the Jacobian costs one adjoint
         # solve per receiver row, whatever the residual
