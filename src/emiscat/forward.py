@@ -476,14 +476,11 @@ class SphereGrid:
         mu, w = np.polynomial.legendre.leggauss(n_theta)
         phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
         st = np.sqrt(1.0 - mu**2)
-        nodes = np.empty((n_theta * n_phi, 3))
-        weights = np.empty(n_theta * n_phi)
-        k = 0
-        for i in range(n_theta):
-            for j in range(n_phi):
-                nodes[k] = (st[i] * np.cos(phi[j]), st[i] * np.sin(phi[j]), mu[i])
-                weights[k] = w[i] * 2.0 * np.pi / n_phi
-                k += 1
+        # theta-major order: node k = i * n_phi + j
+        nodes = np.stack([np.outer(st, np.cos(phi)).ravel(),
+                          np.outer(st, np.sin(phi)).ravel(),
+                          np.repeat(mu, n_phi)], axis=-1)
+        weights = np.repeat(w * 2.0 * np.pi / n_phi, n_phi)
         return SphereGrid(radius=radius, nodes=nodes, weights=weights)
 
     @property

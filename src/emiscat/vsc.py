@@ -191,14 +191,9 @@ class FourierDiffReport:
 
 def _lattice_ball(rho: float):
     r = int(np.floor(rho))
-    out = []
-    for g1 in range(-r, r + 1):
-        for g2 in range(-r, r + 1):
-            for g3 in range(-r, r + 1):
-                n2 = g1 * g1 + g2 * g2 + g3 * g3
-                if 1 <= n2 <= rho**2:
-                    out.append((g1, g2, g3))
-    return out
+    g = np.indices((2 * r + 1,) * 3).reshape(3, -1).T - r  # g1 slowest
+    n2 = np.sum(g * g, axis=1)
+    return [tuple(v) for v in g[(n2 >= 1) & (n2 <= rho**2)].tolist()]
 
 
 def _coeff_at(n1: RefractiveIndex, n2: RefractiveIndex, gamma) -> complex:

@@ -1,9 +1,10 @@
 """Package-level checks with the standard library only: every public name
-resolves, no module keeps a top-level import that it never uses, and FFTs
-go through the two scipy.fft transforms that the benchmark's tracer
-wraps."""
+resolves, no module keeps a top-level import that it never uses, FFTs go
+through the two scipy.fft transforms that the benchmark's tracer wraps,
+and every package name the tracer's metrics read still exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -92,3 +93,66 @@ def test_untraced_transform_detection():
                          ids=lambda p: p.name)
 def test_transforms_are_traced(path):
     assert untraced_transforms(path.read_text()) == []
+
+
+SPANS = PACKAGE.parents[1] / "bench" / "spans.py"
+# the tracer wraps this name itself to read the iteration count
+WRAPPED_BY_NAME = ("inversion.minimize",)
+# the metric cgo.rotate_index_s still reads a function that is gone, so it
+# always reads 0; remove the entry once the tracer drops it
+KNOWN_MISSING = ["cgo.rotate_index"]
+
+
+def traced_names(source: str) -> list:
+    """The distinct "module.Qual.name" strings passed to ``calls`` and ``secs`` in a
+    tracer source, directly or through a starred tuple variable, whose
+    module is one of the tracer's ``MODULES``."""
+    tree = ast.parse(source)
+    tuples = {node.targets[0].id: node.value for node in ast.walk(tree)
+              if isinstance(node, ast.Assign)
+              and isinstance(node.targets[0], ast.Name)
+              and isinstance(node.value, ast.Tuple)}
+    modules = ast.literal_eval(tuples["MODULES"])
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("calls", "secs"):
+            for arg in node.args:
+                if isinstance(arg, ast.Starred):
+                    names += ast.literal_eval(tuples[arg.value.id])
+                else:
+                    names.append(ast.literal_eval(arg))
+    return sorted({n for n in names if n.split(".")[0] in modules})
+
+
+def missing_names(names) -> list:
+    """Names "module.Qual.name" that do not resolve in ``emiscat``."""
+    missing = []
+    for name in sorted(set(names)):
+        module, *path = name.split(".")
+        obj = importlib.import_module(f"emiscat.{module}")
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+    return missing
+
+
+def test_traced_name_detection():
+    source = ("MODULES = ('forward', 'inversion')\n"
+              "def layer_metrics(summary, tally):\n"
+              "    writes = ('inversion.no_such_writer',)\n"
+              "    return (calls('forward.ScatteringSolver.solve')\n"
+              "            + secs('inversion._ForwardState.adjoint_solve')\n"
+              "            + secs(*writes) + calls('scipy_fft.fftn'))\n")
+    names = traced_names(source)
+    assert names == ["forward.ScatteringSolver.solve",
+                     "inversion._ForwardState.adjoint_solve",
+                     "inversion.no_such_writer"]
+    assert missing_names(names) == ["inversion.no_such_writer"]
+
+
+def test_traced_names_resolve():
+    names = traced_names(SPANS.read_text()) + list(WRAPPED_BY_NAME)
+    assert len(names) > 10
+    assert missing_names(names) == KNOWN_MISSING

@@ -23,10 +23,10 @@ from emiscat.inversion import (
     RateStudy,
     _CoeffTranspose,
     _ForwardState,
+    _gauss_newton,
     add_noise,
     alpha_rule,
     band_limited_index,
-    frechet_apply,
     misfit_gradient,
     rate_study,
     tikhonov_reconstruct,
@@ -60,6 +60,29 @@ def random_direction(grid, gamma_max, seed, scale=1.0):
     k = int(mask.sum())
     h[mask] = scale * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
     return h
+
+
+def frechet_apply(problem, medium, h_coeffs):
+    """Directional derivative F'(n)[h] of the data map, as data matrices,
+    from one linearized forward solve per source: the oracle for J.
+
+    ``h_coeffs`` are full-lattice coefficients of the contrast direction."""
+    state = _ForwardState(problem, medium)
+    s = state.solver
+    grid = problem.grid
+    v = inverse_fourier(h_coeffs, grid)
+    w = np.stack([inverse_fourier(1j * f * h_coeffs, grid)
+                  for f in grid.frequencies()], axis=-1)
+    dq = -v
+    dp = (w - s.p * v[..., None]) / s.n.values[..., None]
+    d_rows = []
+    for u, label in zip(state.fields, state.columns.labels):
+        du = s._krylov(s._matvec, s.potential(u, dq, dp).ravel(),
+                       context=label).reshape(u.shape)
+        # measurement perturbation: medium term plus field term
+        d_rows.append(state.map.apply(*s.densities(u, dq, dp))
+                      + state._measure_rows(du))
+    return state.columns.assemble(d_rows)
 
 
 def exact_data(problem, medium):
@@ -414,6 +437,87 @@ class TestJacobian:
         state = _ForwardState(prob, band_limited_index(prob.grid, 2.0, 0.05,
                                                        seed=1))
         assert state.jacobian() is state.jacobian()
+
+
+class TestGaussNewtonLoop:
+    """The complex loop on synthetic problems with exact g = df/d(conj c)
+    and model Hessian a, against the conventions of the real iteration in
+    (Re c, Im c): gradient 2 (Re g, Im g), predicted decrease
+    -2 Re(g^H s) - s^H a s, damping (mu/2) diag(w)."""
+
+    @staticmethod
+    def quadratic():
+        # f(c) = |A c - b|^2 / alpha + (1/2) sum w |c|^2: the model is exact
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+        b = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        alpha, w = 0.5, np.array([1.0, 2.0, 4.0, 8.0])
+        a = A.conj().T @ A / alpha + 0.5 * np.diag(w)
+
+        def fun(c):
+            return (float(np.sum(np.abs(A @ c - b) ** 2)) / alpha
+                    + 0.5 * float(np.sum(w * np.abs(c) ** 2)), None)
+
+        def jac(c, point):
+            return A.conj().T @ (A @ c - b) / alpha + 0.5 * w * c, a
+
+        c_star = np.linalg.solve(a, A.conj().T @ b / alpha)
+        c0 = np.array([0.3, -0.2j, 0.1 + 0.4j, -0.5])
+        return fun, jac, w, c0, c_star
+
+    def test_one_step_reaches_quadratic_minimizer(self):
+        fun, jac, w, c0, c_star = self.quadratic()
+        history = []
+        out = _gauss_newton(fun, c0, jac=jac, callback=history.append,
+                            maxiter=10, gtol=0.0, damping=w)
+        assert np.linalg.norm(out.x - c_star) \
+            <= 1e-12 * np.linalg.norm(c_star)
+        assert (out.nit, out.nfev, out.njev) == (1, 2, 2)
+        assert out.success and out.message == "predicted decrease below FTOL"
+        assert history == [fun(c0)[0], out.fun]
+
+    def test_gradient_stop_uses_real_gradient(self):
+        # the real gradient's largest entry is 2 max(|Re g|, |Im g|)
+        fun, jac, w, c0, _ = self.quadratic()
+        g = jac(c0, None)[0]
+        top = np.max(np.abs([g.real, g.imag]))
+        outs = [_gauss_newton(fun, c0, jac=jac, callback=lambda f: None,
+                              maxiter=10, gtol=factor * top, damping=w)
+                for factor in (1.5, 2.5)]
+        assert [(o.nit, o.message) for o in outs] == \
+            [(1, "gradient below gtol"), (0, "gradient below gtol")]
+
+    def test_rejected_step_raises_damping(self):
+        # F(c) = exp(c) from c = 0 towards exp(c) = b: the undamped step
+        # overshoots and raises f, so mu goes 0 -> 1 before a step is taken
+        b = np.exp(np.array([2.0, 1.0 + 1.0j]))
+        w = np.array([0.01, 0.02])
+        trials = []
+
+        def fun(c):
+            trials.append(c)
+            return (float(np.sum(np.abs(np.exp(c) - b) ** 2))
+                    + 0.5 * float(np.sum(w * np.abs(c) ** 2)), None)
+
+        def jac(c, point):
+            e = np.exp(c)
+            return (np.conj(e) * (e - b) + 0.5 * w * c,
+                    np.diag(np.abs(e) ** 2 + 0.5 * w))
+
+        c0 = np.zeros(2, dtype=complex)
+        g, a = jac(c0, None)
+        undamped = np.linalg.solve(a, -g)
+        assert fun(c0 + undamped)[0] > fun(c0)[0]
+        trials.clear()
+        history = []
+        out = _gauss_newton(fun, c0, jac=jac, callback=history.append,
+                            maxiter=50, gtol=1e-10, damping=w)
+        damped = np.linalg.solve(a + 0.5 * np.diag(w), -g)
+        assert np.allclose(trials[1], c0 + undamped, rtol=1e-12, atol=0)
+        assert np.allclose(trials[2], c0 + damped, rtol=1e-12, atol=0)
+        assert out.success and out.nfev > out.nit + 1
+        assert len(history) == out.nit + 1 and history[-1] == out.fun
+        assert all(f1 <= f0 for f0, f1 in zip(history, history[1:]))
 
 
 class TestTikhonov:
