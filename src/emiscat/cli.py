@@ -29,6 +29,7 @@ from .forward import (
     SphereGrid,
     far_field_operator,
     near_field_operator,
+    support_box,
 )
 from .fourier import (
     BumpProfile,
@@ -259,21 +260,32 @@ def _noise_seeds(cfg: ExperimentConfig, master: int, count: int):
                  np.random.SeedSequence(master).generate_state(count))
 
 
+def _box(medium) -> dict:
+    """The lattice a run's solves work on: the first node and the node
+    counts of the solver's box, per axis."""
+    box = support_box(medium)
+    return {"box_lo": [s.start for s in box],
+            "box_shape": [s.stop - s.start for s in box]}
+
+
 def run_forward(cfg, ws: Workspace):
     medium = build_medium(cfg, ws.seed)
     solver = ScatteringSolver(medium, cfg.kappa)
     source = PlaneWave(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
                        cfg.kappa)
-    total = solver.solve(source)
-    scattered = total - source.electric(solver.pts)
+    solved = solver.solve(source)
+    residual = solver.residual(solved, source)
+    # the fields are written on the whole grid: off the box, E_inc + P(E)
+    total = solver.grid_field(solved, source)
+    scattered = total - source.electric(medium.grid.points())
     ws.write("total_field.fld", containers.write_field, total, medium.grid,
              "total-electric")
     ws.write("scattered_field.fld", containers.write_field, scattered,
              medium.grid, "scattered-electric")
     ws.write("forward_summary.json", _write_json, {
         "kind": "forward", "kappa": cfg.kappa, "n": cfg.n,
-        "residual": solver.residual(total, source),
-        "scattered_max": float(np.max(np.abs(scattered))),
+        "residual": residual,
+        "scattered_max": float(np.max(np.abs(scattered))), **_box(medium),
     })
 
 
@@ -285,6 +297,7 @@ def run_nearfield(cfg, ws: Workspace):
     ws.write("nearfield_summary.json", _write_json, {
         "kind": "nearfield", "kappa": cfg.kappa, "radius": cfg.R,
         "nodes": int(sphere.nodes.shape[0]), "norm": data.norm(),
+        **_box(medium),
     })
 
 
@@ -296,6 +309,7 @@ def run_farfield(cfg, ws: Workspace):
     ws.write("farfield_summary.json", _write_json, {
         "kind": "farfield", "kappa": cfg.kappa,
         "nodes": int(unit.nodes.shape[0]), "norm": data.norm(),
+        **_box(medium),
     })
 
 
@@ -385,7 +399,7 @@ def run_invert(cfg, ws: Workspace):
         "kind": "invert", "delta": delta, "alpha": alpha,
         "misfit": res.misfit, "penalty": res.penalty,
         "functional": res.functional, "iterations": res.iterations,
-        "converged": res.converged, "monotone": res.monotone,
+        "converged": res.converged,
         "admissible_re": res.admissible_re, "admissible_im": res.admissible_im,
         "error_hm": float(hm_norm(res.coeffs - truth.coeffs, cfg.m, grid)),
     })
@@ -439,6 +453,7 @@ def run_near2far(cfg, ws: Workspace):
     ws.write("near2far_summary.json", _write_json, {
         "kind": "near2far", "L": L, "relative_error": rel,
         "direct_norm": float(den), "last_shell_max": float(max(shells)),
+        **_box(medium),
     })
 
 

@@ -7,12 +7,19 @@ The total field solves
 with Phi the outgoing Helmholtz kernel.  The convolutions are discretized
 by periodizing the kernel, truncated at radius 2*pi, on the enclosing cube
 of half-side 2*pi; the truncated kernel's Fourier symbol is known in closed
-form, so one application costs a few FFTs on the (2N)^3 padded grid,
-pruned to skip all-zero lines.  Truncation at 2*pi is exact for source and
-observation points in B(pi).  The transforms run in place on work buffers
-that each :class:`ScatteringSolver` allocates once, so a solver serves one
-caller at a time; the gradient term joins each component on the slab
-transformed along that component's axis, where i*k_c is a 1-D factor.
+form on that (2N)^3 lattice.  Truncation at 2*pi is exact for source and
+observation points in B(pi).
+
+Each :class:`ScatteringSolver` works on a grid-aligned box of the grid
+(:func:`support_box`): for a medium with a closed-form bump profile, the
+nodes where n != 1 plus a margin; for any other medium, the whole grid.  It
+takes the real-space samples of the (2N)^3 lattice's kernel and of its
+spectral gradient at the offsets within the box, once, and convolves on a
+lattice of about twice the box, so that its potential is the whole grid's
+with the contrast and grad(n)/n zeroed outside the box.  Fields, GMRES
+vectors and densities live on the box nodes.  The transforms run in place
+on work buffers each solver allocates once, so a solver serves one caller
+at a time.
 
 Near- and far-field data operators assemble the 3x3 matrix responses to
 dipole and plane-wave excitations on measurement spheres.  Both, and the
@@ -28,7 +35,7 @@ import numpy as np
 import scipy.fft
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .fourier import CubeGrid, RefractiveIndex, inverse_fourier
+from .fourier import BumpProfile, CubeGrid, RefractiveIndex, inverse_fourier
 
 
 class SolveError(RuntimeError):
@@ -157,8 +164,34 @@ def truncated_kernel_symbol(xi_norm, kappa, radius):
     return out
 
 
-# the two axes other than c, for c = 0, 1, 2
-_OTHERS = ((1, 2), (0, 2), (0, 1))
+# nodes kept on each side of a bump medium's support in its solver's box
+BOX_MARGIN = 3
+
+
+def support_box(n) -> tuple:
+    """Slices (one per axis) of the grid-aligned box a solver for ``n``
+    works on.
+
+    For a medium with a closed-form :class:`BumpProfile` the box holds every
+    node where n != 1 and ``BOX_MARGIN`` more on each side, each length
+    rounded up to ``scipy.fft.next_fast_len`` and capped at the grid.  Any
+    other medium, and one without contrast, gets the whole grid: a medium
+    known only by its samples has a spectral grad(n)/n whose tail outside
+    the support is part of its model."""
+    N = n.grid.n
+    whole = (slice(0, N),) * 3
+    if not isinstance(getattr(n, "profile", None), BumpProfile):
+        return whole
+    nodes = np.nonzero(n.values != 1.0)
+    if nodes[0].size == 0:
+        return whole
+    box = []
+    for idx in nodes:
+        lo, hi = idx.min() - BOX_MARGIN, idx.max() + 1 + BOX_MARGIN
+        size = min(scipy.fft.next_fast_len(int(hi - lo)), N)
+        lo = min(max(lo - (size - (hi - lo)) // 2, 0), N - size)
+        box.append(slice(int(lo), int(lo) + size))
+    return tuple(box)
 
 
 def _in_place(transform, view, ax):
@@ -169,8 +202,131 @@ def _in_place(transform, view, ax):
         view[...] = out
 
 
+def _corner(buf, ext, full=()):
+    """View of ``buf`` spanning the axes in ``full`` and the first
+    ``ext[ax]`` points along the others."""
+    return buf[tuple(slice(None) if ax in full else slice(0, ext[ax])
+                     for ax in range(3))]
+
+
+class _Convolution:
+    """Volume potential from the nodes of box ``src`` of a grid to those of
+    its box ``dst``, by the whole grid's discrete kernels.
+
+    The kernels are the samples K = IFFT(symbol) and G_c = IFFT(i k_c
+    symbol) on the (2N)^3 lattice of the whole grid, taken by pruned
+    inverse passes at the offsets x - y between the boxes only.  They are
+    laid out circularly on a lattice of L_a = next_fast_len(S_a + T_a - 1)
+    points per axis (S_a source and T_a target nodes), where no two kept
+    offsets meet, and one FFT turns each into the spectrum the potentials
+    multiply.  Data enter at the lattice's corner and leave from it, so the
+    result is the whole grid's potential with the sources zeroed outside
+    ``src``, read on ``dst``.  Forward transforms run one axis at a time
+    over the lines that reach the data, inverse ones over the lines the
+    crop keeps, in place in work buffers allocated once."""
+
+    def __init__(self, symbol, kappa, src, dst):
+        M = symbol.shape[0]
+        self.src = tuple(s.stop - s.start for s in src)
+        self.dst = tuple(s.stop - s.start for s in dst)
+        shape = tuple(scipy.fft.next_fast_len(a + b - 1)
+                      for a, b in zip(self.src, self.dst))
+        # offsets x - y of each axis, lowest first; offset m sits at slot
+        # (m - shift) mod L, shift = dst.start - src.start, so the lowest
+        # sits at -(S - 1)
+        offsets = [np.arange(d.start - s.stop + 1, d.stop - s.start)
+                   for s, d in zip(src, dst)]
+        lo = min(m[0] for m in offsets)
+        span = np.arange(lo, max(m[-1] for m in offsets) + 1) % M
+
+        def ifft_at(x, ax):
+            return np.take(scipy.fft.ifftn(x, axes=(ax,)), span, axis=ax)
+
+        # the symbol depends on |k| alone, so G_0 and G_1 are G_2 with its
+        # axis 2 swapped for axis 0 or 1; k = j/2 on the lattice
+        half = ifft_at(ifft_at(symbol, 0), 1)
+        g2 = ifft_at(0.5j * np.r_[:M // 2, -(M // 2):0] * half, 2)
+        samples = (ifft_at(half, 2), g2.transpose(2, 1, 0),
+                   g2.transpose(0, 2, 1), g2)
+        del half
+        keep = tuple(slice(m[0] - lo, m[-1] - lo + 1) for m in offsets)
+        # the padded FFT puts the lowest offset at slot 0: shift by S - 1
+        phase = np.ones(shape, dtype=complex)
+        for ax, (n, size) in enumerate(zip(shape, self.src)):
+            turns = (size - 1) * np.arange(n) % n / n
+            phase *= np.exp(2j * np.pi * turns).reshape(np.roll((-1, 1, 1),
+                                                                ax))
+        self.spectra = [scipy.fft.fftn(k[keep], s=shape) * phase
+                        for k in samples]
+        self.spectra[0] *= -kappa**2  # K carries the -kappa^2 of q E
+        self._cube, self._spec, self._work = (
+            np.empty(shape, dtype=complex) for _ in range(3))
+
+    @staticmethod
+    def _fft(buf, ext):
+        """Padded FFT in place of the data in ``buf``'s corner of extent
+        ``ext``, each axis's pad zeroed just before its pass."""
+        full = ()
+        for ax in (0, 1, 2):  # the last, full-lattice pass on contiguous lines
+            full += (ax,)
+            view = _corner(buf, ext, full)
+            view[(slice(None),) * ax + (slice(ext[ax], None),)] = 0
+            _in_place(scipy.fft.fftn, view, ax)
+
+    @staticmethod
+    def _ifft(buf, ext):
+        """Inverse FFT in place of ``buf``, each pass over the lines the
+        crop to the corner of extent ``ext`` keeps; returns that crop."""
+        full = (0, 1, 2)
+        for ax in (2, 1, 0):  # the first, full-lattice pass likewise
+            _in_place(scipy.fft.ifftn, _corner(buf, ext, full), ax)
+            full = full[:-1]
+        return _corner(buf, ext)
+
+    def potential(self, e, q, p):
+        """-kappa^2 K * (q E) + grad K * (p.E) on ``dst`` for E, q, p on
+        ``src``."""
+        cube, spec, work = self._cube, self._spec, self._work
+        mk = self.spectra[0]
+        _corner(spec, self.src)[...] = np.einsum("...c,...c->...", p, e)
+        self._fft(spec, self.src)
+        out = np.empty(self.dst + (3,), dtype=complex)
+        for c in range(3):
+            np.multiply(q, e[..., c], out=_corner(cube, self.src))
+            self._fft(cube, self.src)
+            cube *= mk
+            np.multiply(self.spectra[c + 1], spec, out=work)
+            cube += work
+            out[..., c] = self._ifft(cube, self.dst)
+        return out
+
+    def adjoint(self, lam):
+        """(vec, sca) on ``src`` paired with (q E, p.E) by lam on ``dst``:
+        the transposed conjugate kernels, conj(spectrum) on the lattice."""
+        cube, acc, work = self._cube, self._spec, self._work
+        acc.fill(0)
+        vec = np.empty(self.src + (3,), dtype=complex)
+        for c in range(3):
+            _corner(cube, self.dst)[...] = lam[..., c]
+            self._fft(cube, self.dst)
+            # conj(spectrum) FFT(lam_c) = conj(spectrum conj(FFT(lam_c))),
+            # so acc gathers the conjugate of sca's spectrum
+            np.conjugate(cube, out=work)
+            np.multiply(work, self.spectra[0], out=cube)
+            np.conjugate(cube, out=cube)
+            work *= self.spectra[c + 1]
+            acc += work
+            vec[..., c] = self._ifft(cube, self.src)
+        np.conjugate(acc, out=acc)
+        return vec, self._ifft(acc, self.src).copy()
+
+
 class ScatteringSolver:
-    """Matrix-free Lippmann-Schwinger solver for one medium at one kappa."""
+    """Matrix-free Lippmann-Schwinger solver for one medium at one kappa.
+
+    It works on the nodes of ``box`` (:func:`support_box`), whose points
+    are ``pts``: fields, incident fields and densities live there, and the
+    potential is the whole grid's with (q, p) zeroed outside the box."""
 
     def __init__(self, n: RefractiveIndex, kappa: float, rtol: float = 1e-8,
                  restart: int = 50, maxiter: int = 2000):
@@ -184,133 +340,57 @@ class ScatteringSolver:
             raise ValueError("medium must live on C(pi)")
         N = grid.n
         self.N = N
-        self.M = 2 * N
-        self.pts = grid.points()
+        self.box = support_box(n)
+        self.shape = tuple(s.stop - s.start for s in self.box)
+        self.pts = grid.points()[self.box]
         # contrast and spectral derivative of n (exact for the interpolant)
-        self.q = 1.0 - n.values
+        self.q = 1.0 - n.values[self.box]
         f1, f2, f3 = grid.frequencies()
         grad = np.empty((N, N, N, 3), dtype=complex)
         for c, f in enumerate((f1, f2, f3)):
             grad[..., c] = inverse_fourier(1j * f * n.coeffs, grid)
-        self.p = grad / n.values[..., None]
+        self.p = grad[self.box] / n.values[self.box][..., None]
         # quadrature nodes of the data maps: the contrast lives in B(pi), and
         # derivative pairings need every node a perturbation may reach
-        self.ball = grid.radii() < np.pi
+        self.ball = grid.radii()[self.box] < np.pi
         self._map = None  # (geometry key, ReceiverMap) of the last call
-        # symbol of the truncated kernel on the padded lattice, k = j/2 with
-        # integer j: |k|^2 = s/4 for the integer s = |j|^2 <= 3N^2, so the
-        # symbol is evaluated once per s and gathered; i*k along axis c as a
-        # broadcast 1-D vector
-        j = np.r_[:N, -N:0]  # FFT layout of the 2N-point lattice
-        j2 = j * j
+        self._conv = self._convolution(self.box)
+
+    @property
+    def symbol(self):
+        """Symbol of the truncated kernel on the (2N)^3 lattice of the whole
+        grid, FFT layout: k = j/2 with integer j, so |k|^2 = s/4 for the
+        integer s = |j|^2 <= 3N^2, and the symbol is evaluated once per s
+        and gathered."""
+        N = self.N
+        j2 = np.r_[:N, -N:0] ** 2
         s = j2[:, None, None] + j2[None, :, None] + j2[None, None, :]
-        self.symbol = truncated_kernel_symbol(
-            np.sqrt(np.arange(3 * N * N + 1) / 4.0), self.kappa,
-            2.0 * np.pi)[s]
-        k = 0.5 * j
-        self.ik = [1j * k.reshape(np.roll((-1, 1, 1), c)) for c in range(3)]
-        # work buffers of the two potentials, allocated once: the padded
-        # cube, and a slab that is M long along one axis and N along the
-        # others, viewed along whichever axis the component needs
-        self._cube = np.empty((self.M,) * 3, dtype=complex)
-        self._slab = np.empty(self.M * N * N, dtype=complex)
-        self._inner = slice(N // 2, N // 2 + N)
+        return truncated_kernel_symbol(np.sqrt(np.arange(3 * N * N + 1) / 4.0),
+                                       self.kappa, 2.0 * np.pi)[s]
 
-    def _lines(self, full):
-        """View of the cube spanning the axes in ``full`` and the centred
-        block along the others."""
-        return self._cube[tuple(slice(None) if ax in full else self._inner
-                                for ax in range(3))]
-
-    def _slab_along(self, c):
-        """The slab buffer shaped M along axis c and N along the others."""
-        shape = [self.N] * 3
-        shape[c] = self.M
-        return self._slab.reshape(shape)
-
-    def _fft(self, view, ax):
-        """FFT of ``view`` along ``ax``, its pads along ``ax`` zeroed first;
-        the block along ``ax`` holds the data."""
-        lead = (slice(None),) * ax
-        view[lead + (slice(None, self._inner.start),)] = 0
-        view[lead + (slice(self._inner.stop, None),)] = 0
-        _in_place(scipy.fft.fftn, view, ax)
-
-    def _fft_cube(self, axes, full=()):
-        """Padded FFT of the cube in place along ``axes`` in turn, given it
-        already spans ``full``: each pass runs only over the lines that
-        reach the data."""
-        for ax in axes:
-            full += (ax,)
-            self._fft(self._lines(full), ax)
-
-    def _ifft_cube(self, axes):
-        """Inverse FFT of the whole cube in place along ``axes`` in turn,
-        each pass only over the lines the cropped result keeps; returns
-        the view still spanning the other axes."""
-        full = (0, 1, 2)
-        for ax in axes:
-            view = self._lines(full)
-            _in_place(scipy.fft.ifftn, view, ax)
-            full = tuple(a for a in full if a != ax)
-        return self._lines(full)
+    def _convolution(self, dst):
+        """The potential from the box to the nodes of ``dst``."""
+        return _Convolution(self.symbol, self.kappa, self.box, dst)
 
     def potential(self, e, q=None, p=None):
-        """-kappa^2 conv(Phi, q E) + grad conv(Phi, p.E) on the grid.
+        """-kappa^2 conv(Phi, q E) + grad conv(Phi, p.E) on the box.
 
         (q, p) default to the medium's; a medium perturbation passes its
-        own.  Component c is transformed along axis c first, where the
-        gradient term i k_c FFT_c(p.E) joins it on the slab."""
+        own."""
         if q is None:
             q, p = self.q, self.p
-        mq = -self.kappa**2 * q
-        pe = np.einsum("...c,...c->...", p, e)
-        out = np.empty_like(e)
-        for c, (a, b) in enumerate(_OTHERS):
-            np.multiply(mq, e[..., c], out=self._lines(()))
-            self._fft_cube((c,))
-            slab = self._slab_along(c)
-            slab[(slice(None),) * c + (self._inner,)] = pe
-            self._fft(slab, c)
-            slab *= self.ik[c]
-            spec = self._lines((c,))
-            spec += slab
-            self._fft_cube((a, b), full=(c,))
-            self._cube *= self.symbol
-            out[..., c] = self._ifft_cube((b, a, c))
-        return out
+        return self._conv.potential(e, q, p)
 
     def potential_adjoint(self, lam):
         """Adjoint of the potential's volume map (q E, p.E) -> field.
 
         Returns the vector field paired with q E and the scalar field paired
         with p.E, so that the adjoint potential is
-        conj(q) * vec + conj(p) * sca.  Once conj(symbol) FFT(lam_c) is
-        inverted along the two other axes, vec_c and the -i k_c term of sca
-        share that slab."""
-        cube = self._cube
-        vec = np.empty_like(lam)
-        sca = np.zeros(lam.shape[:-1], dtype=complex)
-        for c, (a, b) in enumerate(_OTHERS):
-            self._lines(())[...] = lam[..., c]
-            self._fft_cube((c, a, b))
-            # cube *= conj(symbol) without a temporary
-            np.conjugate(cube, out=cube)
-            cube *= self.symbol
-            np.conjugate(cube, out=cube)
-            spec = self._ifft_cube((b, a))
-            slab = self._slab_along(c)
-            # conj(i k) = -i k, hence the subtraction
-            np.multiply(spec, self.ik[c], out=slab)
-            _in_place(scipy.fft.ifftn, slab, c)
-            crop = (slice(None),) * c + (self._inner,)
-            sca -= slab[crop]
-            _in_place(scipy.fft.ifftn, spec, c)
-            np.multiply(spec[crop], -self.kappa**2, out=vec[..., c])
-        return vec, sca
+        conj(q) * vec + conj(p) * sca."""
+        return self._conv.adjoint(lam)
 
     def _matvec(self, flat):
-        e = flat.reshape((self.N,) * 3 + (3,))
+        e = flat.reshape(self.shape + (3,))
         return (e - self.potential(e)).ravel()
 
     def _krylov(self, matvec, b, x0=None, context=None):
@@ -352,20 +432,32 @@ class ScatteringSolver:
         return x
 
     def solve(self, source, context=None) -> np.ndarray:
-        """Total electric field (N, N, N, 3) for the given incident-field
-        source."""
+        """Total electric field on the box nodes, (S1, S2, S3, 3), for the
+        given incident-field source."""
         b = source.electric(self.pts).ravel()
         x = self._krylov(self._matvec, b, b.copy(), context)
-        return x.reshape((self.N,) * 3 + (3,))
+        return x.reshape(self.shape + (3,))
+
+    def grid_field(self, e, source) -> np.ndarray:
+        """The total field on every grid node, (N, N, N, 3), from its box
+        field ``e``: ``e`` on the box, E_inc + potential(e) elsewhere, by
+        the box's kernel samples on a box-to-grid lattice built here."""
+        if self.shape == (self.N,) * 3:
+            return e
+        out = source.electric(self.n.grid.points())
+        out += self._convolution((slice(0, self.N),) * 3).potential(
+            e, self.q, self.p)
+        out[self.box] = e
+        return out
 
     def born_field(self, source) -> np.ndarray:
-        """First Born approximation E_inc + potential(E_inc), (N, N, N, 3)."""
+        """First Born approximation E_inc + potential(E_inc) on the box."""
         e_inc = source.electric(self.pts)
         return e_inc + self.potential(e_inc)
 
     def densities(self, e, q=None, p=None):
-        """Volume densities (q E, p.E) on the nodes of B(pi); (q, p) as in
-        :meth:`potential`."""
+        """Volume densities (q E, p.E) on the box nodes in B(pi); (q, p) as
+        in :meth:`potential`."""
         if q is None:
             q, p = self.q, self.p
         eb = e[self.ball]
@@ -379,7 +471,8 @@ class ScatteringSolver:
         cached = self._map
         if cached is None or cached[0] != key:
             build = ReceiverMap.near if kind == "near" else ReceiverMap.far
-            cached = self._map = (key, build(self.n.grid, self.kappa, points))
+            cached = self._map = (key, build(self.n.grid, self.kappa, points,
+                                             self.pts[self.ball]))
         return cached[1]
 
     def scattered_at(self, e_total, points) -> np.ndarray:
@@ -395,17 +488,24 @@ class ScatteringSolver:
         return self.receiver_map("far", xhats).apply(*self.densities(e_total))
 
     def residual(self, e_total, source) -> float:
-        """Relative Lippmann-Schwinger residual inside B(pi)."""
+        """Relative Lippmann-Schwinger residual on the box nodes in
+        B(pi)."""
         e_inc = source.electric(self.pts)
         r = e_total - self.potential(e_total) - e_inc
         return float(np.linalg.norm(r[self.ball])
                      / np.linalg.norm(e_inc[self.ball]))
 
 
+def _ball_nodes(grid: CubeGrid) -> np.ndarray:
+    """The grid's nodes in B(pi), (n_ball, 3)."""
+    return grid.points()[grid.radii() < np.pi]
+
+
 @dataclass
 class ReceiverMap:
-    """Linear map from the densities (q E, p.E) on the nodes of B(pi) to
-    (n_rec, 3) data rows, with its adjoint.
+    """Linear map from the densities (q E, p.E) on quadrature nodes y of a
+    grid (by default its nodes in B(pi)) to (n_rec, 3) data rows, with its
+    adjoint.
 
     rows = scale * (-kappa^2 K (q E) + G (p.E)).  For receiver points x,
     K = Phi(x - y), G its gradient in x and scale = h^3.  For far directions
@@ -415,22 +515,24 @@ class ReceiverMap:
 
     scale: float
     kappa: float
-    kernel: np.ndarray  # (n_rec, n_ball)
-    grad: np.ndarray | None = None  # (n_rec, n_ball, 3); near maps only
+    kernel: np.ndarray  # (n_rec, n_nodes)
+    grad: np.ndarray | None = None  # (n_rec, n_nodes, 3); near maps only
     dirs: np.ndarray | None = None  # (n_rec, 3); far maps only
 
     @classmethod
-    def near(cls, grid: CubeGrid, kappa: float, points) -> "ReceiverMap":
+    def near(cls, grid: CubeGrid, kappa: float, points,
+             nodes=None) -> "ReceiverMap":
         if np.any(np.linalg.norm(points, axis=-1) <= np.pi):
             raise ValueError("evaluation points must lie outside B(pi)")
-        ys = grid.points()[grid.radii() < np.pi]
+        ys = _ball_nodes(grid) if nodes is None else nodes
         _, rhat, phi, dp, _ = _radial_derivatives(points[:, None, :], ys,
                                                   kappa)
         return cls(grid.spacing**3, kappa, phi, grad=dp[..., None] * rhat)
 
     @classmethod
-    def far(cls, grid: CubeGrid, kappa: float, xhats) -> "ReceiverMap":
-        ys = grid.points()[grid.radii() < np.pi]
+    def far(cls, grid: CubeGrid, kappa: float, xhats,
+            nodes=None) -> "ReceiverMap":
+        ys = _ball_nodes(grid) if nodes is None else nodes
         phase = -1j * kappa * (xhats @ ys.T)
         return cls(grid.spacing**3 / (4 * np.pi), kappa,
                    np.exp(phase, out=phase), dirs=xhats)
@@ -447,7 +549,7 @@ class ReceiverMap:
         return self.scale * (-self.kappa**2 * kq + gpe)
 
     def adjoint(self, rows):
-        """Densities (mu, nu) on the ball nodes paired with (q E, p.E)."""
+        """Densities (mu, nu) on the nodes paired with (q E, p.E)."""
         def kernel_h(v):
             return np.conj(self.kernel.T @ np.conj(v))
 

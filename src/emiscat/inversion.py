@@ -182,7 +182,14 @@ class _ForwardState:
         ``measurement_adjoint(e_(x,c))``, pairs with every source field to
         give that row's derivatives; the data columns then mix the sources
         by their polarizations.  Each adjoint pair is paired as soon as it
-        is solved, so one is alive at a time."""
+        is solved, so one is alive at a time.
+
+        A perturbation may reach any node of the grid, so the pairings need
+        fields on all of them: a solver on a smaller box raises ValueError."""
+        if self.solver.shape != (self.problem.grid.n,) * 3:
+            box = ", ".join(f"{s.start}:{s.stop}" for s in self.solver.box)
+            raise ValueError("the data Jacobian pairs fields on the whole "
+                             f"grid, but the solver works on the box [{box}]")
         if self._jac is None:
             n_rec = self.matrices.shape[0]
             transpose = _CoeffTranspose(self.problem.grid,
@@ -228,7 +235,7 @@ class _ForwardState:
         """Adjoint of the measurement map: residual rows -> (mu, nu) fields.
 
         mu is the vector field paired with q*E, nu the scalar field paired
-        with p.E, both embedded on the full grid (ball nodes only)."""
+        with p.E, both embedded on the solver's box (ball nodes only)."""
         ball = self.solver.ball
         mu = np.zeros(ball.shape + (3,), dtype=complex)
         nu = np.zeros(ball.shape, dtype=complex)
@@ -303,7 +310,6 @@ class ReconstructionResult:
     admissible_re: bool
     admissible_im: bool
     history: list = field(default_factory=list)  # functional at accepted iterates
-    monotone: bool = True
 
 
 # relative decrease, predicted by the Gauss-Newton model, that counts as
@@ -425,14 +431,11 @@ def tikhonov_reconstruct(problem: InverseProblem, alpha: float,
     full = embed(out.x)
     med = ContrastMedium(grid=problem.grid, coeffs=full)
     ok_re, ok_im = med.admissible(problem.b)
-    monotone = all(b <= a * (1.0 + 1e-12) + 1e-14
-                   for a, b in zip(history, history[1:]))
     return ReconstructionResult(
         coeffs=full, medium=med, functional=out.fun,
         misfit=np.sqrt(out.point["mis"]), penalty=out.point["pen"],
         converged=bool(out.success), iterations=int(out.nit),
-        admissible_re=ok_re, admissible_im=ok_im, history=history,
-        monotone=monotone)
+        admissible_re=ok_re, admissible_im=ok_im, history=history)
 
 
 @dataclass

@@ -8,6 +8,7 @@ import pytest
 
 from emiscat import cli, cgo_vectors
 from emiscat.cli import ConfigError, load_config, main, run, verify_manifest
+from emiscat.forward import PlaneWave, ScatteringSolver
 from emiscat.io import read_field
 
 
@@ -124,6 +125,31 @@ class TestForwardPipeline:
         summary = json.loads((out / "forward_summary.json").read_text())
         assert summary["residual"] < 1e-10
 
+    def test_bump_forward_on_box(self, tmp_path):
+        # the bump is solved on its box; the fields are written on the whole
+        # grid, the box part as solved, and the summary records the box
+        cfg = write_config(tmp_path / "c.ini",
+                           BASE.replace("n = 12", "n = 16") + BUMP)
+        out = tmp_path / "out"
+        run("forward", cfg, out_dir=str(out))
+        summary = json.loads((out / "forward_summary.json").read_text())
+        assert summary["box_shape"] != [16, 16, 16]
+        box = tuple(slice(lo, lo + size) for lo, size
+                    in zip(summary["box_lo"], summary["box_shape"]))
+        total, grid, _ = read_field(out / "total_field.fld")
+        scattered, _, _ = read_field(out / "scattered_field.fld")
+        assert total.shape == scattered.shape == (16, 16, 16, 3)
+        solver = ScatteringSolver(cli.build_medium(load_config(cfg), 0), 1.0)
+        assert solver.box == box
+        wave = PlaneWave(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
+                         1.0)
+        assert np.array_equal(total[box], solver.solve(wave))
+        assert np.allclose(total - scattered, wave.electric(grid.points()),
+                           rtol=0.0, atol=1e-14)
+        outside = np.ones((16,) * 3, dtype=bool)
+        outside[box] = False
+        assert np.max(np.abs(scattered[outside])) > 0.0
+
     def test_byte_identical_rerun(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", BASE + BUMP)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -158,6 +184,8 @@ class TestDataPipelines:
         assert_manifest_complete(out)
         summary = json.loads((out / "nearfield_summary.json").read_text())
         assert summary["norm"] > 0
+        assert summary["box_lo"] == [0, 0, 1]
+        assert summary["box_shape"] == [12, 12, 11]
         assert (out / "near_data.dat").exists()
 
     def test_nearfield_threads_do_not_change_outputs(self, tmp_path):
@@ -282,7 +310,6 @@ maxiter = 5
         assert_manifest_complete(out)
         summary = json.loads((out / "invert_summary.json").read_text())
         assert summary["misfit"] >= 0
-        assert summary["monotone"]
         assert (out / "reconstruction.fld").exists()
 
     def test_rates_csv(self, tmp_path):

@@ -18,9 +18,11 @@ from emiscat.forward import (
     background_green,
     far_field_operator,
     near_field_operator,
+    support_box,
     truncated_kernel_symbol,
 )
 from emiscat.fourier import BumpProfile, CubeGrid, RefractiveIndex, make_test_index
+from emiscat.inversion import ContrastMedium, band_limited_index
 
 KAPPA = 1.0
 
@@ -177,7 +179,7 @@ class TestSolver:
             solver = ScatteringSolver(n, KAPPA)
             e = solver.solve(pw)
             born = solver.born_field(pw)
-            e_inc = pw.electric(grid.points())
+            e_inc = pw.electric(solver.pts)
             dev = np.linalg.norm(e - born)
             born_term = np.linalg.norm(born - e_inc)
             ratios.append(dev / born_term)
@@ -204,6 +206,62 @@ class TestSolver:
         with pytest.raises(SolveError) as err:
             solver.solve(pw)
         assert len(err.value.residuals) > 0
+
+
+class TestSupportBox:
+    """Bump media are solved on a box around their support; media known by
+    their samples, and media without contrast, on the whole grid."""
+
+    @pytest.mark.parametrize("n_grid", [16, 24, 48])
+    def test_holds_the_support(self, n_grid):
+        grid = CubeGrid(np.pi, n_grid)
+        prof = BumpProfile(centers=((0.3, -0.2, 0.1), (-1.0, 0.8, -0.5)),
+                           amplitudes=(0.2, 0.05j), widths=(1.5, 0.9))
+        for n in (bump_medium(grid), make_test_index(prof, grid, b=0.7)):
+            box = support_box(n)
+            outside = np.ones((n_grid,) * 3, dtype=bool)
+            outside[box] = False
+            assert np.all(n.values[outside] == 1.0)
+            assert np.any(outside)
+            for s in box:
+                size = s.stop - s.start
+                assert 0 <= s.start and s.stop <= n_grid
+                assert size == n_grid or size == scipy.fft.next_fast_len(size)
+            solver = ScatteringSolver(n, KAPPA)
+            assert solver.box == box
+            assert np.array_equal(solver.pts, grid.points()[box])
+
+    def test_whole_grid_media(self):
+        grid = CubeGrid(np.pi, 24)
+        mie = RefractiveIndex(grid=grid, b=0.5, values=np.where(
+            grid.radii() < 1.0, 1.2, 1.0).astype(complex))
+        band = band_limited_index(grid, 2.0, 0.08, seed=11)
+        iterate = ContrastMedium(grid=grid, coeffs=band.coeffs)
+        vacuum = make_test_index(BumpProfile(), grid, b=0.5)
+        for n in (mie, band, iterate, vacuum):
+            assert support_box(n) == (slice(0, 24),) * 3
+            assert ScatteringSolver(n, KAPPA).shape == (24,) * 3
+
+    def test_grid_field_matches_zeroed_full_cube(self):
+        # outside the box, E_inc + P(E) is the field a whole-grid solve has
+        # there once (q, p) are zeroed outside the box
+        grid = CubeGrid(np.pi, 16)
+        n = bump_medium(grid)
+        solver = ScatteringSolver(n, KAPPA)
+        assert solver.shape != (16,) * 3
+        pw = PlaneWave(np.array([0.6, 0.0, 0.8]), np.array([0.0, 1.0, 0.0]),
+                       KAPPA)
+        filled = solver.grid_field(solver.solve(pw), pw)
+        full = ScatteringSolver(RefractiveIndex(grid=grid, values=n.values,
+                                                b=1.0), KAPPA)
+        outside = np.ones((16,) * 3, dtype=bool)
+        outside[solver.box] = False
+        full.q[outside] = 0.0
+        full.p[outside] = 0.0
+        ref = full.solve(pw)
+        assert np.max(np.abs(filled - ref)) <= 1e-7 * np.max(np.abs(ref))
+        assert np.max(np.abs(filled[outside] - pw.electric(
+            grid.points()[outside]))) > 1e-4
 
 
 @pytest.fixture(scope="module")
@@ -493,7 +551,7 @@ class TestAdjointIdentities:
     def test_volume_potential(self):
         solver = ScatteringSolver(bump_medium(self.grid), KAPPA)
         rng = np.random.default_rng(3)
-        shape = (12,) * 3
+        shape = solver.shape
         q, p = _random(rng, shape), _random(rng, shape + (3,))
         e, lam = _random(rng, shape + (3,)), _random(rng, shape + (3,))
         vec, sca = solver.potential_adjoint(lam)
@@ -515,46 +573,54 @@ class TestAdjointIdentities:
 
 
 def _full_pad(solver, x):
-    """x embedded in the zero (2N)^3 pad at the potential's offset."""
+    """Box data x embedded in the zero (2N)^3 pad: at the box's nodes of the
+    grid, and the grid at the potential's offset."""
     o, N = solver.N // 2, solver.N
-    pad = np.zeros((solver.M,) * 3, dtype=complex)
-    pad[o:o + N, o:o + N, o:o + N] = x
+    grid = np.zeros((N,) * 3, dtype=complex)
+    grid[solver.box] = x
+    pad = np.zeros((2 * N,) * 3, dtype=complex)
+    pad[o:o + N, o:o + N, o:o + N] = grid
     return pad
 
 
-def _full_grad_symbol(solver):
-    k = np.fft.fftfreq(solver.M, d=1.0 / solver.M) * 0.5
+def _crop(solver, x):
+    """The box nodes of the grid block of a (2N)^3 pad."""
+    o, N = solver.N // 2, solver.N
+    return x[o:o + N, o:o + N, o:o + N][solver.box]
+
+
+def _full_grad_symbol(solver, symbol):
+    k = np.fft.fftfreq(2 * solver.N, d=1.0 / (2 * solver.N)) * 0.5
     k1, k2, k3 = np.meshgrid(k, k, k, indexing="ij")
-    return 1j * np.stack([k1, k2, k3], axis=-1) * solver.symbol[..., None]
+    return 1j * np.stack([k1, k2, k3], axis=-1) * symbol[..., None]
 
 
 def oracle_potential(solver, e, q, p):
-    """Volume potential by dense FFTs of the full zero-padded cube."""
-    o, N = solver.N // 2, solver.N
-    sl = slice(o, o + N)
-    gsym = _full_grad_symbol(solver)
+    """Volume potential by dense FFTs of the full zero-padded cube, with
+    the inputs zero outside the solver's box, read on the box."""
+    symbol = solver.symbol
+    gsym = _full_grad_symbol(solver, symbol)
     ghat = scipy.fft.fftn(_full_pad(solver, np.sum(p * e, axis=-1)))
     out = np.empty_like(e)
     for c in range(3):
-        spec = (-solver.kappa**2 * solver.symbol
+        spec = (-solver.kappa**2 * symbol
                 * scipy.fft.fftn(_full_pad(solver, q * e[..., c]))
                 + gsym[..., c] * ghat)
-        out[..., c] = scipy.fft.ifftn(spec)[sl, sl, sl]
+        out[..., c] = _crop(solver, scipy.fft.ifftn(spec))
     return out
 
 
 def oracle_potential_adjoint(solver, lam):
-    o, N = solver.N // 2, solver.N
-    sl = slice(o, o + N)
-    gsym = _full_grad_symbol(solver)
-    acc = np.zeros((solver.M,) * 3, dtype=complex)
+    symbol = solver.symbol
+    gsym = _full_grad_symbol(solver, symbol)
+    acc = np.zeros((2 * solver.N,) * 3, dtype=complex)
     vec = np.empty_like(lam)
     for c in range(3):
         lhat = scipy.fft.fftn(_full_pad(solver, lam[..., c]))
-        vec[..., c] = -solver.kappa**2 * scipy.fft.ifftn(
-            np.conj(solver.symbol) * lhat)[sl, sl, sl]
+        vec[..., c] = -solver.kappa**2 * _crop(
+            solver, scipy.fft.ifftn(np.conj(symbol) * lhat))
         acc += np.conj(gsym[..., c]) * lhat
-    return vec, scipy.fft.ifftn(acc)[sl, sl, sl]
+    return vec, _crop(solver, scipy.fft.ifftn(acc))
 
 
 class TestPrunedPotential:
@@ -565,22 +631,43 @@ class TestPrunedPotential:
     def _rel(a, b):
         return np.linalg.norm(a - b) / np.linalg.norm(b)
 
-    @pytest.mark.parametrize("n_grid", [8, 12, 16, 24])
-    def test_matches_full_pad(self, n_grid):
-        solver = ScatteringSolver(bump_medium(CubeGrid(np.pi, n_grid)), KAPPA)
-        assert not hasattr(solver, "grad_symbol")
-        rng = np.random.default_rng(n_grid)
-        shape = (n_grid,) * 3
+    @staticmethod
+    def _check(solver, seed):
+        rng = np.random.default_rng(seed)
+        shape = solver.shape
         e, lam = _random(rng, shape + (3,)), _random(rng, shape + (3,))
         q, p = _random(rng, shape), _random(rng, shape + (3,))
-        assert self._rel(solver.potential(e),
-                         oracle_potential(solver, e, solver.q, solver.p)) \
+        assert TestPrunedPotential._rel(
+            solver.potential(e),
+            oracle_potential(solver, e, solver.q, solver.p)) <= 1e-13
+        assert TestPrunedPotential._rel(
+            solver.potential(e, q, p), oracle_potential(solver, e, q, p)) \
             <= 1e-13
-        assert self._rel(solver.potential(e, q, p),
-                         oracle_potential(solver, e, q, p)) <= 1e-13
         for got, want in zip(solver.potential_adjoint(lam),
                              oracle_potential_adjoint(solver, lam)):
-            assert self._rel(got, want) <= 1e-13
+            assert TestPrunedPotential._rel(got, want) <= 1e-13
+
+    @pytest.mark.parametrize("n_grid", [8, 12, 16, 24])
+    def test_matches_full_pad(self, n_grid):
+        # a medium known by its samples: the solver works on the whole grid
+        grid = CubeGrid(np.pi, n_grid)
+        n = RefractiveIndex(grid=grid, values=bump_medium(grid).values, b=1.0)
+        solver = ScatteringSolver(n, KAPPA)
+        assert solver.shape == (n_grid,) * 3
+        assert not hasattr(solver, "grad_symbol")
+        self._check(solver, n_grid)
+
+    @pytest.mark.parametrize("n_grid", [8, 12, 16, 24])
+    def test_box_matches_zeroed_full_pad(self, n_grid):
+        # an off-centre bump: the box potential is the whole grid's with
+        # its inputs zero outside the box, read on the box
+        n = bump_medium(CubeGrid(np.pi, n_grid), width=1.0,
+                        center=(1.2, -0.9, 0.6))
+        solver = ScatteringSolver(n, KAPPA)
+        if n_grid >= 16:
+            assert all(s.stop - s.start < n_grid for s in solver.box)
+            assert all(s.start > 0 for s in solver.box)
+        self._check(solver, n_grid)
 
     def test_copying_transforms(self, monkeypatch):
         # transforms that leave their input as it is and return a new array
