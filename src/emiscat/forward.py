@@ -12,14 +12,15 @@ observation points in B(pi).
 
 Each :class:`ScatteringSolver` works on a grid-aligned box of the grid
 (:func:`support_box`): for a medium with a closed-form bump profile, the
-nodes where n != 1 plus a margin; for any other medium, the whole grid.  It
-takes the real-space samples of the (2N)^3 lattice's kernel and of its
-spectral gradient at the offsets within the box, once, and convolves on a
-lattice of about twice the box, so that its potential is the whole grid's
-with the contrast and grad(n)/n zeroed outside the box.  Fields, GMRES
-vectors and densities live on the box nodes.  The transforms run in place
-on work buffers each solver allocates once, so a solver serves one caller
-at a time.
+nodes where n != 1 plus a margin; for any other medium, the whole grid.  On
+the whole grid it convolves on the (2N)^3 lattice.  On a smaller box it
+takes the real-space samples of that lattice's kernel and of its spectral
+gradient at the offsets within the box, once, and convolves on a lattice
+of about twice the box, so that its potential is the whole grid's with the
+contrast and grad(n)/n zeroed outside the box.  Fields, GMRES vectors and
+densities live on the box nodes.  The transforms run in place on work
+buffers each solver allocates once, so a solver serves one caller at a
+time.
 
 Near- and far-field data operators assemble the 3x3 matrix responses to
 dipole and plane-wave excitations on measurement spheres.  Both, and the
@@ -209,6 +210,92 @@ def _corner(buf, ext, full=()):
                      for ax in range(3))]
 
 
+def _fft_passes(buf, ext, axes, full=()):
+    """Padded FFT in place along ``axes`` of the data in ``buf``'s corner of
+    extent ``ext``, each pass over the lines that reach it (``full`` and the
+    axes done so far span the lattice), its pad zeroed just before."""
+    for ax in axes:
+        full += (ax,)
+        view = _corner(buf, ext, full)
+        view[(slice(None),) * ax + (slice(ext[ax], None),)] = 0
+        _in_place(scipy.fft.fftn, view, ax)
+
+
+def _ifft_passes(buf, ext, axes, full=(0, 1, 2)):
+    """Inverse FFT along ``axes`` of ``buf``'s view spanning ``full``, in
+    place over the lines the crop to ``ext`` keeps; returns it so cropped."""
+    for ax in axes:
+        _in_place(scipy.fft.ifftn, _corner(buf, ext, full), ax)
+        full = tuple(a for a in full if a != ax)
+    return _corner(buf, ext, full)
+
+
+_OTHERS = ((1, 2), (0, 2), (0, 1))  # the two axes other than c = 0, 1, 2
+
+
+class _GridConvolution:
+    """Volume potential on the whole grid, on the (2N)^3 lattice of its
+    kernel symbol, with the data in the lattice's corner.
+
+    Component c is transformed along axis c first: there i k_c FFT_c(p.E)
+    joins it on a slab 2N long along axis c and N along the others, since
+    i k_c varies along axis c only.  So no gradient spectrum is formed, and
+    a potential costs 45 N^2 line transforms; the adjoint mirrors it."""
+
+    def __init__(self, symbol, kappa):
+        M = symbol.shape[0]
+        self.symbol, self.kappa, self.ext = symbol, kappa, (M // 2,) * 3
+        k = 0.5 * np.r_[:M // 2, -(M // 2):0]  # FFT layout, k = j/2
+        self.ik = [1j * k.reshape(np.roll((-1, 1, 1), c)) for c in range(3)]
+        self._cube = np.empty((M,) * 3, dtype=complex)
+        slab = np.empty(M * (M // 2) ** 2, dtype=complex)
+        self._slabs = [slab.reshape(np.roll((M,) + self.ext[1:], c))
+                       for c in range(3)]
+
+    def potential(self, e, q, p):
+        """-kappa^2 K * (q E) + grad K * (p.E) on the grid."""
+        cube, ext = self._cube, self.ext
+        mq = -self.kappa**2 * q
+        pe = np.einsum("...c,...c->...", p, e)
+        out = np.empty_like(e)
+        for c, others in enumerate(_OTHERS):
+            np.multiply(mq, e[..., c], out=_corner(cube, ext))
+            _fft_passes(cube, ext, (c,))
+            slab = self._slabs[c]
+            _corner(slab, ext)[...] = pe
+            _fft_passes(slab, ext, (c,))
+            slab *= self.ik[c]
+            spec = _corner(cube, ext, (c,))
+            spec += slab
+            _fft_passes(cube, ext, others, full=(c,))
+            cube *= self.symbol
+            out[..., c] = _ifft_passes(cube, ext, others[::-1] + (c,))
+        return out
+
+    def adjoint(self, lam):
+        """(vec, sca) paired with (q E, p.E) by lam: once conj(symbol)
+        FFT(lam_c) is inverted along the two other axes, vec_c and the
+        -i k_c term of sca share that slab."""
+        cube, ext = self._cube, self.ext
+        vec = np.empty_like(lam)
+        sca = np.zeros(lam.shape[:-1], dtype=complex)
+        for c, others in enumerate(_OTHERS):
+            _corner(cube, ext)[...] = lam[..., c]
+            _fft_passes(cube, ext, (c,) + others)
+            # cube *= conj(symbol) without a temporary
+            np.conjugate(cube, out=cube)
+            cube *= self.symbol
+            np.conjugate(cube, out=cube)
+            slab = self._slabs[c]
+            np.multiply(_ifft_passes(cube, ext, others[::-1]), self.ik[c],
+                        out=slab)
+            # conj(i k) = -i k, hence the subtraction
+            sca -= _ifft_passes(slab, ext, (c,), full=(c,))
+            np.multiply(_ifft_passes(cube, ext, (c,), full=(c,)),
+                        -self.kappa**2, out=vec[..., c])
+        return vec, sca
+
+
 class _Convolution:
     """Volume potential from the nodes of box ``src`` of a grid to those of
     its box ``dst``, by the whole grid's discrete kernels.
@@ -223,7 +310,8 @@ class _Convolution:
     result is the whole grid's potential with the sources zeroed outside
     ``src``, read on ``dst``.  Forward transforms run one axis at a time
     over the lines that reach the data, inverse ones over the lines the
-    crop keeps, in place in work buffers allocated once."""
+    crop keeps (axis 2, of contiguous lines, over the full lattice), in
+    place in work buffers allocated once."""
 
     def __init__(self, symbol, kappa, src, dst):
         M = symbol.shape[0]
@@ -262,42 +350,21 @@ class _Convolution:
         self._cube, self._spec, self._work = (
             np.empty(shape, dtype=complex) for _ in range(3))
 
-    @staticmethod
-    def _fft(buf, ext):
-        """Padded FFT in place of the data in ``buf``'s corner of extent
-        ``ext``, each axis's pad zeroed just before its pass."""
-        full = ()
-        for ax in (0, 1, 2):  # the last, full-lattice pass on contiguous lines
-            full += (ax,)
-            view = _corner(buf, ext, full)
-            view[(slice(None),) * ax + (slice(ext[ax], None),)] = 0
-            _in_place(scipy.fft.fftn, view, ax)
-
-    @staticmethod
-    def _ifft(buf, ext):
-        """Inverse FFT in place of ``buf``, each pass over the lines the
-        crop to the corner of extent ``ext`` keeps; returns that crop."""
-        full = (0, 1, 2)
-        for ax in (2, 1, 0):  # the first, full-lattice pass likewise
-            _in_place(scipy.fft.ifftn, _corner(buf, ext, full), ax)
-            full = full[:-1]
-        return _corner(buf, ext)
-
     def potential(self, e, q, p):
         """-kappa^2 K * (q E) + grad K * (p.E) on ``dst`` for E, q, p on
         ``src``."""
         cube, spec, work = self._cube, self._spec, self._work
         mk = self.spectra[0]
         _corner(spec, self.src)[...] = np.einsum("...c,...c->...", p, e)
-        self._fft(spec, self.src)
+        _fft_passes(spec, self.src, (0, 1, 2))
         out = np.empty(self.dst + (3,), dtype=complex)
         for c in range(3):
             np.multiply(q, e[..., c], out=_corner(cube, self.src))
-            self._fft(cube, self.src)
+            _fft_passes(cube, self.src, (0, 1, 2))
             cube *= mk
             np.multiply(self.spectra[c + 1], spec, out=work)
             cube += work
-            out[..., c] = self._ifft(cube, self.dst)
+            out[..., c] = _ifft_passes(cube, self.dst, (2, 1, 0))
         return out
 
     def adjoint(self, lam):
@@ -308,7 +375,7 @@ class _Convolution:
         vec = np.empty(self.src + (3,), dtype=complex)
         for c in range(3):
             _corner(cube, self.dst)[...] = lam[..., c]
-            self._fft(cube, self.dst)
+            _fft_passes(cube, self.dst, (0, 1, 2))
             # conj(spectrum) FFT(lam_c) = conj(spectrum conj(FFT(lam_c))),
             # so acc gathers the conjugate of sca's spectrum
             np.conjugate(cube, out=work)
@@ -316,9 +383,9 @@ class _Convolution:
             np.conjugate(cube, out=cube)
             work *= self.spectra[c + 1]
             acc += work
-            vec[..., c] = self._ifft(cube, self.src)
+            vec[..., c] = _ifft_passes(cube, self.src, (2, 1, 0))
         np.conjugate(acc, out=acc)
-        return vec, self._ifft(acc, self.src).copy()
+        return vec, _ifft_passes(acc, self.src, (2, 1, 0)).copy()
 
 
 class ScatteringSolver:
@@ -354,7 +421,9 @@ class ScatteringSolver:
         # derivative pairings need every node a perturbation may reach
         self.ball = grid.radii()[self.box] < np.pi
         self._map = None  # (geometry key, ReceiverMap) of the last call
-        self._conv = self._convolution(self.box)
+        self._conv = (_GridConvolution(self.symbol, self.kappa)
+                      if self.shape == (N,) * 3 else
+                      self._convolution(self.box))
 
     @property
     def symbol(self):
@@ -369,16 +438,20 @@ class ScatteringSolver:
                                        self.kappa, 2.0 * np.pi)[s]
 
     def _convolution(self, dst):
-        """The potential from the box to the nodes of ``dst``."""
+        """The potential from a box smaller than the grid to the nodes of
+        ``dst``, by sampled kernels; the whole grid's own potential runs on
+        the (2N)^3 lattice instead (:class:`_GridConvolution`)."""
         return _Convolution(self.symbol, self.kappa, self.box, dst)
 
     def potential(self, e, q=None, p=None):
         """-kappa^2 conv(Phi, q E) + grad conv(Phi, p.E) on the box.
 
         (q, p) default to the medium's; a medium perturbation passes its
-        own."""
+        own.  Without contrast (q = p = 0) it is zero, with no transform."""
         if q is None:
             q, p = self.q, self.p
+        if not (np.any(q) or np.any(p)):
+            return np.zeros(e.shape, dtype=complex)
         return self._conv.potential(e, q, p)
 
     def potential_adjoint(self, lam):
@@ -386,7 +459,10 @@ class ScatteringSolver:
 
         Returns the vector field paired with q E and the scalar field paired
         with p.E, so that the adjoint potential is
-        conj(q) * vec + conj(p) * sca."""
+        conj(q) * vec + conj(p) * sca.  Both are zero, with no transform,
+        for lam = 0."""
+        if not np.any(lam):
+            return np.zeros_like(lam), np.zeros(lam.shape[:-1], dtype=complex)
         return self._conv.adjoint(lam)
 
     def _matvec(self, flat):

@@ -11,7 +11,9 @@ adjoint method: the data are linear in the measurement, so
 one adjoint Lippmann-Schwinger solve per receiver row (x, c) pairs with the
 retained forward field of every source, with the chain rule through both
 medium-dependent coefficients (the contrast q = 1 - n and the logarithmic
-gradient p = grad(n)/n).  The misfit gradient is J^H W r.
+gradient p = grad(n)/n).  The misfit gradient is J^H W r.  A forward state
+takes its misfit against the data in use at call time, so a noise sweep
+hands each level's last state to the next level, which starts there.
 
 Admissibility (Re n >= b, Im n >= 0, support in B(pi)) is not enforced
 during optimization, only checked on the returned iterate.
@@ -137,8 +139,11 @@ def alpha_rule(delta: float, A: float, nu: float) -> float:
 
 
 class _ForwardState:
-    """Solver plus retained total fields for every measurement source; the
-    data Jacobian is built on first use and kept."""
+    """Solver, retained total fields for every measurement source and their
+    model data for one medium; the data Jacobian is built on first use and
+    kept.  The misfit is taken against the data passed in, so one state
+    serves every problem on its geometry, grid and coefficient mask, as the
+    noise levels of a sweep are."""
 
     def __init__(self, problem: InverseProblem, medium):
         self.problem = problem
@@ -166,11 +171,11 @@ class _ForwardState:
     def measurement_weights(self):
         return self.problem.data.weights()
 
-    def misfit(self):
-        """Weighted misfit sum w |F - d|^2 and the weighted residual W r,
-        shaped like the data matrices."""
-        w = self.measurement_weights()[..., None, None]
-        diff = self.matrices - self.problem.data.matrices
+    def misfit(self, data):
+        """Weighted misfit sum w |F - d|^2 against ``data`` and the weighted
+        residual W r, shaped like the data matrices."""
+        w = data.weights()[..., None, None]
+        diff = self.matrices - data.matrices
         return float(np.sum(w * np.abs(diff) ** 2)), w * diff
 
     def jacobian(self):
@@ -182,15 +187,19 @@ class _ForwardState:
         ``measurement_adjoint(e_(x,c))``, pairs with every source field to
         give that row's derivatives; the data columns then mix the sources
         by their polarizations.  Each adjoint pair is paired as soon as it
-        is solved, so one is alive at a time.
+        is solved, so one is alive at a time.  The solver, its receiver map
+        and the fields are dropped once J is built: the misfit needs only
+        the model data.
 
         A perturbation may reach any node of the grid, so the pairings need
         fields on all of them: a solver on a smaller box raises ValueError."""
-        if self.solver.shape != (self.problem.grid.n,) * 3:
-            box = ", ".join(f"{s.start}:{s.stop}" for s in self.solver.box)
-            raise ValueError("the data Jacobian pairs fields on the whole "
-                             f"grid, but the solver works on the box [{box}]")
         if self._jac is None:
+            if self.solver.shape != (self.problem.grid.n,) * 3:
+                box = ", ".join(f"{s.start}:{s.stop}"
+                                for s in self.solver.box)
+                raise ValueError("the data Jacobian pairs fields on the whole"
+                                 " grid, but the solver works on the box "
+                                 f"[{box}]")
             n_rec = self.matrices.shape[0]
             transpose = _CoeffTranspose(self.problem.grid,
                                         self.problem.coeff_mask())
@@ -201,6 +210,7 @@ class _ForwardState:
                                                transpose)
             self._jac = self.columns.assemble(rows).reshape(
                 -1, rows.shape[-1])
+            self.solver = self.map = self.fields = None
         return self._jac
 
     def _row_adjoint(self, x, c):
@@ -289,10 +299,11 @@ class _CoeffTranspose:
         return self.factor * x[..., i2, i3, i1]
 
 
-def misfit_gradient(state: _ForwardState):
-    """Value and complex coefficient gradient J^H W r of the weighted data
-    misfit; the gradient is full-lattice and zero off ``coeff_mask()``."""
-    value, res = state.misfit()
+def misfit_gradient(state: _ForwardState, data=None):
+    """Value and complex coefficient gradient J^H W r of the weighted misfit
+    against ``data``, by default the data of the state's own problem; the
+    gradient is full-lattice and zero off ``coeff_mask()``."""
+    value, res = state.misfit(state.problem.data if data is None else data)
     grad = np.zeros((state.problem.grid.n,) * 3, dtype=complex)
     grad[state.problem.coeff_mask()] = state.jacobian().conj().T @ res.ravel()
     return value, grad
@@ -379,20 +390,29 @@ def tikhonov_reconstruct(problem: InverseProblem, alpha: float,
     coefficients c: gradient g = J^H W r / alpha + (1/2) w c, model Hessian
     a = J^H W J / alpha + (1/2) diag(w) with the complex data Jacobian J and
     the H^m weights w, damping (mu/2) diag(w).  The data are holomorphic in
-    c, so this is Gauss-Newton in (Re c, Im c) at half the size.  A trial
-    iterate costs one forward solve per source; an accepted one a Jacobian,
-    i.e. one adjoint solve per receiver row (3 n_rec near, 3 n_x far).  One
-    iterate's fields are alive at a time.  ``history`` holds the functional
-    at accepted iterates, which never increases.  The loop goes through
-    ``scipy.optimize.minimize`` only for the benchmark's tracer.
+    c, so this is Gauss-Newton in (Re c, Im c) at half the size.  The loop
+    starts at ``init_coeffs`` (full-lattice; default the vacuum, c = 0).  A
+    trial iterate costs one forward solve per source; an accepted one a
+    Jacobian, i.e. one adjoint solve per receiver row (3 n_rec near, 3 n_x
+    far).  One iterate's fields are alive at a time.  ``history`` holds the
+    functional at accepted iterates, which never increases.  The loop goes
+    through ``scipy.optimize.minimize`` only for the benchmark's tracer.
 
     A :class:`SolveError` is re-raised naming the Gauss-Newton iteration
     (the number of steps accepted before it) and keeps the failed solve's
     ``context``."""
+    return _reconstruct(problem, alpha, init_coeffs, None, maxiter, gtol)[0]
+
+
+def _reconstruct(problem, alpha, init_coeffs, start, maxiter, gtol=1e-6):
+    """:func:`tikhonov_reconstruct` and the state of its result, starting
+    from ``start``, if given: a :class:`_ForwardState` at ``init_coeffs``
+    on the same geometry, grid and mask, used as the first iterate's."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     mask = problem.coeff_mask()
     weights = (1.0 + problem.grid.gamma_norm2()[mask]) ** problem.m
+    starts = [] if start is None else [start]
 
     def embed(c):
         full = np.zeros((problem.grid.n,) * 3, dtype=complex)
@@ -400,15 +420,15 @@ def tikhonov_reconstruct(problem: InverseProblem, alpha: float,
         return full
 
     def evaluate(c):
-        state = _ForwardState(problem, ContrastMedium(grid=problem.grid,
-                                                      coeffs=embed(c)))
-        mis, _ = state.misfit()
+        state = starts.pop() if starts else _ForwardState(
+            problem, ContrastMedium(grid=problem.grid, coeffs=embed(c)))
+        mis, _ = state.misfit(problem.data)
         pen = 0.5 * float(np.sum(weights * np.abs(c) ** 2))
         return mis / alpha + pen, {"mis": mis, "pen": pen, "state": state}
 
     def derivatives(c, point):
-        state = point.pop("state")  # its fields go once J is built
-        _, grad = misfit_gradient(state)
+        state = point["state"]  # keeps only J and model data once J is built
+        _, grad = misfit_gradient(state, problem.data)
         jac = state.jacobian()
         w = np.repeat(state.measurement_weights().ravel(), 9)  # 3x3 entries
         return (grad[mask] / alpha + 0.5 * weights * c,
@@ -435,7 +455,8 @@ def tikhonov_reconstruct(problem: InverseProblem, alpha: float,
         coeffs=full, medium=med, functional=out.fun,
         misfit=np.sqrt(out.point["mis"]), penalty=out.point["pen"],
         converged=bool(out.success), iterations=int(out.nit),
-        admissible_re=ok_re, admissible_im=ok_im, history=history)
+        admissible_re=ok_re, admissible_im=ok_im,
+        history=history), out.point["state"]
 
 
 @dataclass
@@ -456,21 +477,24 @@ def rate_study(n_true: RefractiveIndex, problem: InverseProblem,
                maxiter: int = 60) -> RateStudy:
     """Noise sweep with the a-priori alpha rule and warm starts.
 
-    ``problem.data`` must hold exact data for ``n_true``; each delta gets
-    its own noise realization, regularization parameter, and
-    reconstruction, warm-started from the previous level's result."""
-    deltas = list(deltas)
+    ``problem.data`` must hold exact data for ``n_true``; each delta, with
+    its own entry of ``seeds``, gets its own noise realization,
+    regularization parameter, and reconstruction.  Each level starts at the
+    previous level's result and takes over its forward state (fields or
+    Jacobian, and model data), so the start costs no solve."""
+    deltas, seeds = list(deltas), list(seeds)
     if not all(b < a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("delta list must be strictly decreasing")
+    if len(seeds) != len(deltas):
+        raise ValueError(f"{len(deltas)} deltas but {len(seeds)} seeds")
     clean = problem.data
-    init = None
+    init = state = None
     alphas, errors, misfits, iters = [], [], [], []
     for delta, seed in zip(deltas, seeds):
         noisy = add_noise(clean, delta, seed)
         alpha = alpha_rule(delta, A, nu)
         sub = replace(problem, data=noisy, delta=delta)
-        rec = tikhonov_reconstruct(sub, alpha, init_coeffs=init,
-                                   maxiter=maxiter)
+        rec, state = _reconstruct(sub, alpha, init, state, maxiter)
         init = rec.coeffs
         err = hm_norm(rec.coeffs - n_true.coeffs, problem.m, problem.grid)
         alphas.append(alpha)

@@ -32,6 +32,24 @@ def bump_medium(grid, amplitude=0.2, width=1.5, center=(0.3, -0.2, 0.1)):
     return make_test_index(prof, grid, b=1.0)
 
 
+def two_path_solver(case):
+    """A solver on the whole grid ("whole": a medium known by its samples,
+    N = 8) or on a box smaller than the grid ("box": an off-centre bump,
+    N = 16), its box checked; the two run different potential routines."""
+    if case == "whole":
+        grid = CubeGrid(np.pi, 8)
+        n = RefractiveIndex(grid=grid, values=bump_medium(grid).values, b=1.0)
+    else:
+        n = bump_medium(CubeGrid(np.pi, 16), width=1.0,
+                        center=(1.2, -0.9, 0.6))
+    solver = ScatteringSolver(n, KAPPA)
+    if case == "whole":
+        assert solver.shape == (solver.N,) * 3
+    else:
+        assert all(size < solver.N for size in solver.shape)
+    return solver
+
+
 def fd_curl(f, x, h=1e-4):
     """Finite-difference curl of a vector field evaluator at point x."""
     jac = np.empty((3, 3), dtype=complex)
@@ -548,8 +566,9 @@ class TestAdjointIdentities:
         dirs = SphereGrid.build(1.0, 2, 3).nodes
         self._check_map(ReceiverMap.far(self.grid, KAPPA, dirs), 2)
 
-    def test_volume_potential(self):
-        solver = ScatteringSolver(bump_medium(self.grid), KAPPA)
+    @pytest.mark.parametrize("case", ["whole", "box"])
+    def test_volume_potential(self, case):
+        solver = two_path_solver(case)
         rng = np.random.default_rng(3)
         shape = solver.shape
         q, p = _random(rng, shape), _random(rng, shape + (3,))
@@ -669,7 +688,8 @@ class TestPrunedPotential:
             assert all(s.start > 0 for s in solver.box)
         self._check(solver, n_grid)
 
-    def test_copying_transforms(self, monkeypatch):
+    @pytest.mark.parametrize("case", ["whole", "box"])
+    def test_copying_transforms(self, monkeypatch, case):
         # transforms that leave their input as it is and return a new array
         # give the same potentials: nothing relies on overwrite_x
         for name in ("fftn", "ifftn"):
@@ -677,9 +697,10 @@ class TestPrunedPotential:
                         **kwargs):
                 return _transform(np.array(x), *args, **kwargs)
             monkeypatch.setattr(scipy.fft, name, copying)
-        solver = ScatteringSolver(bump_medium(CubeGrid(np.pi, 8)), KAPPA)
+        solver = two_path_solver(case)
         rng = np.random.default_rng(8)
-        e, lam = _random(rng, (8, 8, 8, 3)), _random(rng, (8, 8, 8, 3))
+        shape = solver.shape + (3,)
+        e, lam = _random(rng, shape), _random(rng, shape)
         assert self._rel(solver.potential(e),
                          oracle_potential(solver, e, solver.q, solver.p)) \
             <= 1e-13
@@ -687,12 +708,14 @@ class TestPrunedPotential:
                              oracle_potential_adjoint(solver, lam)):
             assert self._rel(got, want) <= 1e-13
 
-    def test_results_survive_later_calls(self):
+    @pytest.mark.parametrize("case", ["whole", "box"])
+    def test_results_survive_later_calls(self, case):
         # the solver transforms in work buffers it keeps: a result must not
         # be one of them, nor change when the solver is called again
-        solver = ScatteringSolver(bump_medium(CubeGrid(np.pi, 8)), KAPPA)
+        solver = two_path_solver(case)
         rng = np.random.default_rng(9)
-        e1, e2 = _random(rng, (8, 8, 8, 3)), _random(rng, (8, 8, 8, 3))
+        shape = solver.shape + (3,)
+        e1, e2 = _random(rng, shape), _random(rng, shape)
         first = solver.potential(e1)
         kept = first.copy()
         solver.potential(e2)
@@ -701,7 +724,29 @@ class TestPrunedPotential:
         kept = [a.copy() for a in adj]
         solver.potential_adjoint(e2)
         assert all(np.array_equal(a, k) for a, k in zip(adj, kept))
-        buffers = [v for v in vars(solver).values()
+        buffers = [v for v in (*vars(solver).values(),
+                               *vars(solver._conv).values())
                    if isinstance(v, np.ndarray)]
         for result in (first, *adj):
             assert not any(np.shares_memory(result, b) for b in buffers)
+
+    @pytest.mark.parametrize("case", ["whole", "box"])
+    def test_zero_inputs_skip_transforms(self, monkeypatch, case):
+        # the inversion's vacuum start (q = p = 0) and its zero adjoint
+        # right-hand sides: exact zeros, with no call to scipy.fft
+        solver = two_path_solver(case)
+        calls = []
+        for name in ("fftn", "ifftn"):
+            def counted(*args, _transform=getattr(scipy.fft, name),
+                        **kwargs):
+                calls.append(_transform)
+                return _transform(*args, **kwargs)
+            monkeypatch.setattr(scipy.fft, name, counted)
+        e = _random(np.random.default_rng(10), solver.shape + (3,))
+        out = solver.potential(e, 0, 0)
+        vec, sca = solver.potential_adjoint(np.zeros_like(e))
+        assert calls == []
+        assert out.shape == vec.shape == e.shape and sca.shape == solver.shape
+        assert not (np.any(out) or np.any(vec) or np.any(sca))
+        solver.potential(e)  # the medium's own contrast is not zero
+        assert calls

@@ -588,9 +588,9 @@ class TestTikhonov:
                 counts["jacobian"] += self._jac is None
                 return super().jacobian()
 
-        def counted_gradient(state):
+        def counted_gradient(state, *data):
             counts["gradient"] += 1
-            return misfit_gradient(state)
+            return misfit_gradient(state, *data)
 
         def counted_minimize(*args, **kwargs):
             outs.append(gauss_newton(*args, **kwargs))
@@ -674,6 +674,71 @@ class TestRateStudy:
                            seeds=(1, 2, 3), A=1.0, nu=0.5, maxiter=20)
         assert study.floor is not None
         assert study.floor <= min(study.errors[:2])
+
+    @pytest.mark.parametrize("maxiter", [1, 20])
+    def test_carries_state_between_levels(self, monkeypatch, maxiter):
+        # each level starts from the previous level's forward state: the
+        # same results, bit for bit, as reconstructing level by level from
+        # the previous coefficients, with one forward state fewer per level
+        # after the first.  maxiter = 1 hands over fields, 20 a Jacobian.
+        import emiscat.inversion as inv
+        built, kept_recs = [0], []
+
+        class CountedState(_ForwardState):
+            def __init__(self, *args):
+                built[0] += 1
+                super().__init__(*args)
+
+        def kept(*args, _reconstruct=inv._reconstruct, **kwargs):
+            rec, state = _reconstruct(*args, **kwargs)
+            kept_recs.append(rec)
+            return rec, state
+
+        monkeypatch.setattr(inv, "_ForwardState", CountedState)
+        monkeypatch.setattr(inv, "_reconstruct", kept)
+        prob = small_problem(8)
+        truth = band_limited_index(prob.grid, 2.0, 0.08, seed=11)
+        prob = small_problem(8, data=exact_data(prob, truth))
+        deltas, seeds = (1e-1, 1e-2, 1e-3), (1, 2, 3)
+        built[0] = 0
+        study = rate_study(truth, prob, deltas, seeds, A=1.0, nu=0.5,
+                           maxiter=maxiter)
+        swept, swept_built = kept_recs[:], built[0]
+
+        built[0] = 0
+        recs, errors, misfits, iters, init = [], [], [], [], None
+        for delta, seed in zip(deltas, seeds):
+            sub = small_problem(8, data=add_noise(prob.data, delta, seed))
+            rec = tikhonov_reconstruct(sub, alpha_rule(delta, 1.0, 0.5),
+                                       init_coeffs=init, maxiter=maxiter)
+            recs.append(rec)
+            init = rec.coeffs
+            errors.append(float(hm_norm(rec.coeffs - truth.coeffs, prob.m,
+                                        prob.grid)))
+            misfits.append(rec.misfit)
+            iters.append(rec.iterations)
+        assert np.array_equal(study.errors, errors)
+        assert np.array_equal(study.misfits, misfits)
+        assert study.iterations == iters
+        for a, b in zip(swept, recs, strict=True):
+            assert np.array_equal(a.coeffs, b.coeffs)
+            assert a.history == b.history  # the start's functional too
+        assert swept_built == built[0] - (len(deltas) - 1)
+
+    def test_one_seed_per_delta(self, monkeypatch):
+        # fewer (or more) seeds than deltas fail before any reconstruction
+        import emiscat.inversion as inv
+
+        def no_reconstruction(*args, **kwargs):
+            raise AssertionError("reconstructed before checking the seeds")
+
+        monkeypatch.setattr(inv, "_reconstruct", no_reconstruction)
+        prob = small_problem(8)
+        truth = band_limited_index(prob.grid, 2.0, 0.08, seed=11)
+        for seeds in ((1, 2), (1, 2, 3, 4)):
+            with pytest.raises(ValueError, match="seeds"):
+                rate_study(truth, prob, deltas=(1e-1, 1e-2, 1e-3),
+                           seeds=seeds, A=1.0, nu=0.5)
 
     def test_requires_decreasing_deltas(self):
         prob = small_problem(12)
