@@ -17,10 +17,12 @@ the whole grid it convolves on the (2N)^3 lattice.  On a smaller box it
 takes the real-space samples of that lattice's kernel and of its spectral
 gradient at the offsets within the box, once, and convolves on a lattice
 of about twice the box, so that its potential is the whole grid's with the
-contrast and grad(n)/n zeroed outside the box.  Fields, GMRES vectors and
-densities live on the box nodes.  The transforms run in place on work
-buffers each solver allocates once, so a solver serves one caller at a
-time.
+contrast and grad(n)/n zeroed outside the box.  That routine has no
+adjoint: the adjoint potential, and the field off the box
+(:meth:`ScatteringSolver.grid_field`), run on the whole grid's (2N)^3
+lattice.  Fields, GMRES vectors and densities live on the box nodes.  The
+transforms run in place on work buffers each solver allocates once, so a
+solver serves one caller at a time.
 
 Near- and far-field data operators assemble the 3x3 matrix responses to
 dipole and plane-wave excitations on measurement spheres.  Both, and the
@@ -297,35 +299,30 @@ class _GridConvolution:
 
 
 class _Convolution:
-    """Volume potential from the nodes of box ``src`` of a grid to those of
-    its box ``dst``, by the whole grid's discrete kernels.
+    """Volume potential on the nodes of ``box``, a box of a grid smaller
+    than the grid, by the whole grid's discrete kernels; forward only.
 
     The kernels are the samples K = IFFT(symbol) and G_c = IFFT(i k_c
     symbol) on the (2N)^3 lattice of the whole grid, taken by pruned
-    inverse passes at the offsets x - y between the boxes only.  They are
-    laid out circularly on a lattice of L_a = next_fast_len(S_a + T_a - 1)
-    points per axis (S_a source and T_a target nodes), where no two kept
-    offsets meet, and one FFT turns each into the spectrum the potentials
-    multiply.  Data enter at the lattice's corner and leave from it, so the
-    result is the whole grid's potential with the sources zeroed outside
-    ``src``, read on ``dst``.  Forward transforms run one axis at a time
-    over the lines that reach the data, inverse ones over the lines the
-    crop keeps (axis 2, of contiguous lines, over the full lattice), in
-    place in work buffers allocated once."""
+    inverse passes at the offsets x - y within the box only.  They are laid
+    out circularly on a lattice of L_a = next_fast_len(2 S_a - 1) points
+    per axis (S_a box nodes), where no two kept offsets meet, and one FFT
+    turns each into the spectrum the potential multiplies.  Data enter at
+    the lattice's corner and leave from it, so the result is the whole
+    grid's potential with the sources zeroed outside the box, read on the
+    box.  Forward transforms run one axis at a time over the lines that
+    reach the data, inverse ones over the lines the crop keeps (axis 2, of
+    contiguous lines, over the full lattice), in place in work buffers
+    allocated once."""
 
-    def __init__(self, symbol, kappa, src, dst):
+    def __init__(self, symbol, kappa, box):
         M = symbol.shape[0]
-        self.src = tuple(s.stop - s.start for s in src)
-        self.dst = tuple(s.stop - s.start for s in dst)
-        shape = tuple(scipy.fft.next_fast_len(a + b - 1)
-                      for a, b in zip(self.src, self.dst))
-        # offsets x - y of each axis, lowest first; offset m sits at slot
-        # (m - shift) mod L, shift = dst.start - src.start, so the lowest
-        # sits at -(S - 1)
-        offsets = [np.arange(d.start - s.stop + 1, d.stop - s.start)
-                   for s, d in zip(src, dst)]
-        lo = min(m[0] for m in offsets)
-        span = np.arange(lo, max(m[-1] for m in offsets) + 1) % M
+        self.ext = tuple(s.stop - s.start for s in box)
+        shape = tuple(scipy.fft.next_fast_len(2 * a - 1) for a in self.ext)
+        # offsets x - y along each axis run over -(S - 1)..S - 1; the
+        # samples are taken over the longest such range
+        top = max(self.ext)
+        span = np.arange(1 - top, top) % M
 
         def ifft_at(x, ax):
             return np.take(scipy.fft.ifftn(x, axes=(ax,)), span, axis=ax)
@@ -337,10 +334,10 @@ class _Convolution:
         samples = (ifft_at(half, 2), g2.transpose(2, 1, 0),
                    g2.transpose(0, 2, 1), g2)
         del half
-        keep = tuple(slice(m[0] - lo, m[-1] - lo + 1) for m in offsets)
+        keep = tuple(slice(top - a, top + a - 1) for a in self.ext)
         # the padded FFT puts the lowest offset at slot 0: shift by S - 1
         phase = np.ones(shape, dtype=complex)
-        for ax, (n, size) in enumerate(zip(shape, self.src)):
+        for ax, (n, size) in enumerate(zip(shape, self.ext)):
             turns = (size - 1) * np.arange(n) % n / n
             phase *= np.exp(2j * np.pi * turns).reshape(np.roll((-1, 1, 1),
                                                                 ax))
@@ -351,41 +348,20 @@ class _Convolution:
             np.empty(shape, dtype=complex) for _ in range(3))
 
     def potential(self, e, q, p):
-        """-kappa^2 K * (q E) + grad K * (p.E) on ``dst`` for E, q, p on
-        ``src``."""
-        cube, spec, work = self._cube, self._spec, self._work
+        """-kappa^2 K * (q E) + grad K * (p.E) on the box."""
+        cube, spec, work, ext = self._cube, self._spec, self._work, self.ext
         mk = self.spectra[0]
-        _corner(spec, self.src)[...] = np.einsum("...c,...c->...", p, e)
-        _fft_passes(spec, self.src, (0, 1, 2))
-        out = np.empty(self.dst + (3,), dtype=complex)
+        _corner(spec, ext)[...] = np.einsum("...c,...c->...", p, e)
+        _fft_passes(spec, ext, (0, 1, 2))
+        out = np.empty(ext + (3,), dtype=complex)
         for c in range(3):
-            np.multiply(q, e[..., c], out=_corner(cube, self.src))
-            _fft_passes(cube, self.src, (0, 1, 2))
+            np.multiply(q, e[..., c], out=_corner(cube, ext))
+            _fft_passes(cube, ext, (0, 1, 2))
             cube *= mk
             np.multiply(self.spectra[c + 1], spec, out=work)
             cube += work
-            out[..., c] = _ifft_passes(cube, self.dst, (2, 1, 0))
+            out[..., c] = _ifft_passes(cube, ext, (2, 1, 0))
         return out
-
-    def adjoint(self, lam):
-        """(vec, sca) on ``src`` paired with (q E, p.E) by lam on ``dst``:
-        the transposed conjugate kernels, conj(spectrum) on the lattice."""
-        cube, acc, work = self._cube, self._spec, self._work
-        acc.fill(0)
-        vec = np.empty(self.src + (3,), dtype=complex)
-        for c in range(3):
-            _corner(cube, self.dst)[...] = lam[..., c]
-            _fft_passes(cube, self.dst, (0, 1, 2))
-            # conj(spectrum) FFT(lam_c) = conj(spectrum conj(FFT(lam_c))),
-            # so acc gathers the conjugate of sca's spectrum
-            np.conjugate(cube, out=work)
-            np.multiply(work, self.spectra[0], out=cube)
-            np.conjugate(cube, out=cube)
-            work *= self.spectra[c + 1]
-            acc += work
-            vec[..., c] = _ifft_passes(cube, self.src, (2, 1, 0))
-        np.conjugate(acc, out=acc)
-        return vec, _ifft_passes(acc, self.src, (2, 1, 0)).copy()
 
 
 class ScatteringSolver:
@@ -423,7 +399,7 @@ class ScatteringSolver:
         self._map = None  # (geometry key, ReceiverMap) of the last call
         self._conv = (_GridConvolution(self.symbol, self.kappa)
                       if self.shape == (N,) * 3 else
-                      self._convolution(self.box))
+                      _Convolution(self.symbol, self.kappa, self.box))
 
     @property
     def symbol(self):
@@ -436,12 +412,6 @@ class ScatteringSolver:
         s = j2[:, None, None] + j2[None, :, None] + j2[None, None, :]
         return truncated_kernel_symbol(np.sqrt(np.arange(3 * N * N + 1) / 4.0),
                                        self.kappa, 2.0 * np.pi)[s]
-
-    def _convolution(self, dst):
-        """The potential from a box smaller than the grid to the nodes of
-        ``dst``, by sampled kernels; the whole grid's own potential runs on
-        the (2N)^3 lattice instead (:class:`_GridConvolution`)."""
-        return _Convolution(self.symbol, self.kappa, self.box, dst)
 
     def potential(self, e, q=None, p=None):
         """-kappa^2 conv(Phi, q E) + grad conv(Phi, p.E) on the box.
@@ -460,7 +430,13 @@ class ScatteringSolver:
         Returns the vector field paired with q E and the scalar field paired
         with p.E, so that the adjoint potential is
         conj(q) * vec + conj(p) * sca.  Both are zero, with no transform,
-        for lam = 0."""
+        for lam = 0.  It serves the data Jacobian, whose pairings need
+        fields on every node a perturbation may reach: a solver on a box
+        smaller than the grid raises ValueError."""
+        if self.shape != (self.N,) * 3:
+            box = ", ".join(f"{s.start}:{s.stop}" for s in self.box)
+            raise ValueError("the adjoint potential pairs fields on the whole"
+                             f" grid, but the solver works on the box [{box}]")
         if not np.any(lam):
             return np.zeros_like(lam), np.zeros(lam.shape[:-1], dtype=complex)
         return self._conv.adjoint(lam)
@@ -516,13 +492,20 @@ class ScatteringSolver:
 
     def grid_field(self, e, source) -> np.ndarray:
         """The total field on every grid node, (N, N, N, 3), from its box
-        field ``e``: ``e`` on the box, E_inc + potential(e) elsewhere, by
-        the box's kernel samples on a box-to-grid lattice built here."""
-        if self.shape == (self.N,) * 3:
+        field ``e``: ``e`` on the box, E_inc + potential(e) elsewhere, the
+        whole grid's potential of ``e``, q and p zeroed outside the box."""
+        N = self.N
+        if self.shape == (N,) * 3:
             return e
+
+        def embed(x):
+            out = np.zeros((N,) * 3 + x.shape[3:], dtype=complex)
+            out[self.box] = x
+            return out
+
         out = source.electric(self.n.grid.points())
-        out += self._convolution((slice(0, self.N),) * 3).potential(
-            e, self.q, self.p)
+        out += _GridConvolution(self.symbol, self.kappa).potential(
+            embed(e), embed(self.q), embed(self.p))
         out[self.box] = e
         return out
 
@@ -572,15 +555,10 @@ class ScatteringSolver:
                      / np.linalg.norm(e_inc[self.ball]))
 
 
-def _ball_nodes(grid: CubeGrid) -> np.ndarray:
-    """The grid's nodes in B(pi), (n_ball, 3)."""
-    return grid.points()[grid.radii() < np.pi]
-
-
 @dataclass
 class ReceiverMap:
     """Linear map from the densities (q E, p.E) on quadrature nodes y of a
-    grid (by default its nodes in B(pi)) to (n_rec, 3) data rows, with its
+    grid (a solver's nodes in B(pi)) to (n_rec, 3) data rows, with its
     adjoint.
 
     rows = scale * (-kappa^2 K (q E) + G (p.E)).  For receiver points x,
@@ -597,19 +575,17 @@ class ReceiverMap:
 
     @classmethod
     def near(cls, grid: CubeGrid, kappa: float, points,
-             nodes=None) -> "ReceiverMap":
+             nodes) -> "ReceiverMap":
         if np.any(np.linalg.norm(points, axis=-1) <= np.pi):
             raise ValueError("evaluation points must lie outside B(pi)")
-        ys = _ball_nodes(grid) if nodes is None else nodes
-        _, rhat, phi, dp, _ = _radial_derivatives(points[:, None, :], ys,
+        _, rhat, phi, dp, _ = _radial_derivatives(points[:, None, :], nodes,
                                                   kappa)
         return cls(grid.spacing**3, kappa, phi, grad=dp[..., None] * rhat)
 
     @classmethod
     def far(cls, grid: CubeGrid, kappa: float, xhats,
-            nodes=None) -> "ReceiverMap":
-        ys = _ball_nodes(grid) if nodes is None else nodes
-        phase = -1j * kappa * (xhats @ ys.T)
+            nodes) -> "ReceiverMap":
+        phase = -1j * kappa * (xhats @ nodes.T)
         return cls(grid.spacing**3 / (4 * np.pi), kappa,
                    np.exp(phase, out=phase), dirs=xhats)
 

@@ -192,14 +192,9 @@ class _ForwardState:
         the model data.
 
         A perturbation may reach any node of the grid, so the pairings need
-        fields on all of them: a solver on a smaller box raises ValueError."""
+        fields on all of them: for a solver on a smaller box the adjoint
+        potential raises ValueError."""
         if self._jac is None:
-            if self.solver.shape != (self.problem.grid.n,) * 3:
-                box = ", ".join(f"{s.start}:{s.stop}"
-                                for s in self.solver.box)
-                raise ValueError("the data Jacobian pairs fields on the whole"
-                                 " grid, but the solver works on the box "
-                                 f"[{box}]")
             n_rec = self.matrices.shape[0]
             transpose = _CoeffTranspose(self.problem.grid,
                                         self.problem.coeff_mask())
@@ -481,12 +476,20 @@ def rate_study(n_true: RefractiveIndex, problem: InverseProblem,
     its own entry of ``seeds``, gets its own noise realization,
     regularization parameter, and reconstruction.  Each level starts at the
     previous level's result and takes over its forward state (fields or
-    Jacobian, and model data), so the start costs no solve."""
+    Jacobian, and model data), so the start costs no solve.  The rate fit
+    takes the deltas >= 1e-10, of which there must be two."""
     deltas, seeds = list(deltas), list(seeds)
     if not all(b < a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("delta list must be strictly decreasing")
     if len(seeds) != len(deltas):
         raise ValueError(f"{len(deltas)} deltas but {len(seeds)} seeds")
+    # near-exact anchor levels report the discretization floor and stay
+    # out of the rate fit, which needs two levels
+    darr = np.asarray(deltas, dtype=float)
+    fit = darr >= 1e-10
+    if fit.sum() < 2:
+        raise ValueError("the rate fit needs at least two deltas >= 1e-10, "
+                         f"got {int(fit.sum())}")
     clean = problem.data
     init = state = None
     alphas, errors, misfits, iters = [], [], [], []
@@ -501,10 +504,6 @@ def rate_study(n_true: RefractiveIndex, problem: InverseProblem,
         errors.append(float(err))
         misfits.append(rec.misfit)
         iters.append(rec.iterations)
-    # near-exact anchor levels report the discretization floor and stay
-    # out of the rate fit
-    darr = np.asarray(deltas, dtype=float)
-    fit = darr >= 1e-10
     floor = float(min(e for e, keep in zip(errors, fit) if not keep)) \
         if not fit.all() else None
     x = np.log(np.log(3.0 + darr[fit] ** -2))

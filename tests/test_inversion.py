@@ -740,6 +740,22 @@ class TestRateStudy:
                 rate_study(truth, prob, deltas=(1e-1, 1e-2, 1e-3),
                            seeds=seeds, A=1.0, nu=0.5)
 
+    def test_rate_fit_needs_two_levels(self, monkeypatch):
+        # one delta >= 1e-10 (a one-point fit) or none fail before any
+        # reconstruction
+        import emiscat.inversion as inv
+
+        def no_reconstruction(*args, **kwargs):
+            raise AssertionError("reconstructed before checking the deltas")
+
+        monkeypatch.setattr(inv, "_reconstruct", no_reconstruction)
+        prob = small_problem(8)
+        truth = band_limited_index(prob.grid, 2.0, 0.08, seed=11)
+        for deltas in ((1e-1, 1e-12), (1e-11, 1e-12)):
+            with pytest.raises(ValueError, match="two deltas"):
+                rate_study(truth, prob, deltas=deltas, seeds=(1, 2), A=1.0,
+                           nu=0.5)
+
     def test_requires_decreasing_deltas(self):
         prob = small_problem(12)
         truth = band_limited_index(prob.grid, 2.0, 0.05, seed=11)
