@@ -1,6 +1,8 @@
 """Command-line harness: configs, experiment pipelines, and artifacts.
 
-Configs are INI files (flat key-value sections, no programmable logic).
+Configs are INI files whose keys are declared once, each by a field of
+``ExperimentConfig`` with its default and parser.  An undeclared key, an
+unparsable value or a violated guard raises ``ConfigError`` (exit 2).
 Every run writes its artifacts plus ``manifest.json`` listing each output
 file with a SHA-256 content hash; reruns with the same config and seed
 reproduce byte-identical payloads.  All randomness flows through one
@@ -15,7 +17,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,136 +51,110 @@ from .inversion import (
 from .spherical import far_coeffs, near_from_far
 from .vsc import data_diff_norm, vsc_check
 
-KINDS = ("forward", "nearfield", "farfield", "cgo", "vsc-check", "invert",
-         "rates", "near2far")
-
 
 class ConfigError(Exception):
-    """Invalid experiment configuration; the message names the guard."""
+    """Invalid configuration; the message names the key or guard."""
+
+
+def _key(section: str, key: str, default=None, parse=str):
+    """A field read from ``[section] key`` by ``parse``, else ``default``."""
+    return field(default=default,
+                 metadata={"key": (section, key), "parse": parse})
+
+
+def _list(cast, sep=","):
+    """Parser of a ``sep``-separated list into a tuple of ``cast`` values."""
+    return lambda text: tuple(cast(v) for v in text.split(sep) if v.strip())
+
+
+def _kind(text: str) -> str:
+    """An experiment kind, one of ``KINDS``; ``run`` checks its argument
+    with it too, so it raises ConfigError itself."""
+    if text not in KINDS:
+        raise ConfigError(f"unknown experiment kind {text!r}; "
+                          f"expected one of {', '.join(KINDS)}")
+    return text
 
 
 @dataclass
 class ExperimentConfig:
-    kind: str | None
-    kappa: float
-    R: float
-    n: int
-    n_theta: int
-    n_phi: int
-    L: int | None
-    m: float
-    s: float
-    profile: str
-    bump: BumpProfile
-    b: float
-    band_gamma_max: float
-    band_amplitude: float
-    deltas: tuple
-    seeds: tuple
-    cgo_gamma: tuple
-    cgo_t: float | None
-    cgo_m_grid: int
-    inv_gamma_max: float
-    inv_A: float
-    inv_nu: float | None
-    inv_alpha: float | None
-    inv_maxiter: int
-    vsc_members: int
-    vsc_amplitude: float
-    vsc_beta: float
-    out_dir: str | None
+    """Every parameter of an experiment.  Each field but the two derived
+    ones is read from the config key in its metadata; construction
+    enforces the parameter guards."""
 
-    @property
-    def smoothness(self) -> SobolevParams:
-        return SobolevParams(self.m, self.s)
+    kind: str | None = _key("experiment", "kind", None, _kind)
+    kappa: float = _key("physics", "kappa", 1.0, float)
+    R: float = _key("physics", "r", 1.2 * np.pi, float)
+    n: int = _key("grids", "n", 16, int)
+    n_theta: int = _key("grids", "n_theta", 2, int)
+    n_phi: int = _key("grids", "n_phi", 4, int)
+    L: int | None = _key("grids", "l", None, int)
+    m: float = _key("smoothness", "m", 4.0, float)
+    s: float = _key("smoothness", "s", 6.0, float)
+    profile: str = _key("medium", "profile", "vacuum")
+    centers: tuple = _key("medium", "centers", (), _list(_list(float), ";"))
+    amplitudes: tuple = _key("medium", "amplitudes", (), _list(complex))
+    widths: tuple = _key("medium", "widths", (), _list(float))
+    b: float = _key("medium", "b", 0.5, float)
+    band_gamma_max: float = _key("medium", "gamma_max", 2.0, float)
+    band_amplitude: float = _key("medium", "amplitude", 0.08, float)
+    deltas: tuple = _key("noise", "deltas", (), _list(float))
+    seeds: tuple = _key("noise", "seeds", (), _list(int))
+    cgo_gamma: tuple = _key("cgo", "gamma", (), _list(float))
+    cgo_t: float | None = _key("cgo", "t", None, float)
+    cgo_m_grid: int = _key("cgo", "m_grid", 32, int)
+    inv_gamma_max: float = _key("inversion", "gamma_max", 2.0, float)
+    inv_A: float = _key("inversion", "a", 1.0, float)
+    inv_nu: float | None = _key("inversion", "nu", None, float)
+    inv_alpha: float | None = _key("inversion", "alpha", None, float)
+    inv_maxiter: int = _key("inversion", "maxiter", 40, int)
+    vsc_members: int = _key("vsc", "members", 6, int)
+    vsc_amplitude: float = _key("vsc", "amplitude", 0.02, float)
+    vsc_beta: float = _key("vsc", "beta", 0.5, float)
+    out_dir: str | None = _key("output", "directory")
+    smoothness: SobolevParams = field(init=False)
+    bump: BumpProfile = field(init=False)
+
+    def __post_init__(self):
+        if self.R <= np.pi:
+            raise ConfigError(f"guard violated: R = {self.R} but the "
+                              "measurement radius requires R > pi")
+        if any(len(c) != 3 for c in self.centers):
+            raise ConfigError("[medium] centers need three coordinates each")
+        try:  # each raises ValueError naming the guard it violates
+            self.smoothness = SobolevParams(self.m, self.s)
+            self.bump = BumpProfile(self.centers, self.amplitudes, self.widths)
+        except ValueError as err:
+            raise ConfigError(f"guard violated: {err}") from None
 
     @property
     def nu(self) -> float:
         return self.inv_nu if self.inv_nu is not None else self.smoothness.nu
 
 
-def _triples(text: str):
-    out = []
-    for part in text.split(";"):
-        part = part.strip()
-        if part:
-            out.append(tuple(float(v) for v in part.split(",")))
-    return tuple(out)
-
-
-def _floats(text: str):
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate a config file, enforcing the parameter guards."""
+    """Parse a config file into an :class:`ExperimentConfig`.  A key that
+    no field declares, or a value that its parser rejects, raises
+    :class:`ConfigError` naming the key; so does any violated guard."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-
-    def get(section, key, default=None, cast=str):
-        if parser.has_option(section, key):
-            return cast(parser.get(section, key))
-        return default
-
-    kind = get("experiment", "kind")
-    if kind is not None and kind not in KINDS:
-        raise ConfigError(f"unknown experiment kind {kind!r}; "
-                          f"expected one of {', '.join(KINDS)}")
-    kappa = get("physics", "kappa", 1.0, float)
-    R = get("physics", "r", 1.2 * np.pi, float)
-    m = get("smoothness", "m", 4.0, float)
-    s = get("smoothness", "s", 6.0, float)
-    # parameter guards; each rejection names the violated constraint
-    if R <= np.pi:
-        raise ConfigError(f"guard violated: R = {R} but the measurement "
-                          "radius requires R > pi")
-    if m <= 3.5:
-        raise ConfigError(f"guard violated: m = {m} but the smoothness "
-                          "order requires m > 7/2")
-    if s <= m:
-        raise ConfigError(f"guard violated: s = {s}, m = {m} but the "
-                          "smoothness orders require s > m")
-    if abs(s - (2.0 * m + 1.5)) < 1e-12:
-        raise ConfigError(f"guard violated: s = {s} = 2m + 3/2 is the "
-                          "excluded exceptional case (requires s != 2m + 3/2)")
-
-    bump = BumpProfile(
-        centers=_triples(get("medium", "centers", "")),
-        amplitudes=tuple(complex(a) for a in
-                         get("medium", "amplitudes", "").split(",") if a.strip()),
-        widths=_floats(get("medium", "widths", "")),
-    )
-    gamma = get("cgo", "gamma", None)
-    return ExperimentConfig(
-        kind=kind, kappa=kappa, R=R,
-        n=get("grids", "n", 16, int),
-        n_theta=get("grids", "n_theta", 2, int),
-        n_phi=get("grids", "n_phi", 4, int),
-        L=get("grids", "l", None, int),
-        m=m, s=s,
-        profile=get("medium", "profile", "vacuum"),
-        bump=bump,
-        b=get("medium", "b", 0.5, float),
-        band_gamma_max=get("medium", "gamma_max", 2.0, float),
-        band_amplitude=get("medium", "amplitude", 0.08, float),
-        deltas=_floats(get("noise", "deltas", "")),
-        seeds=tuple(int(v) for v in get("noise", "seeds", "").split(",")
-                    if v.strip()),
-        cgo_gamma=tuple(float(v) for v in gamma.split(",")) if gamma else (),
-        cgo_t=get("cgo", "t", None, float),
-        cgo_m_grid=get("cgo", "m_grid", 32, int),
-        inv_gamma_max=get("inversion", "gamma_max", 2.0, float),
-        inv_A=get("inversion", "a", 1.0, float),
-        inv_nu=get("inversion", "nu", None, float),
-        inv_alpha=get("inversion", "alpha", None, float),
-        inv_maxiter=get("inversion", "maxiter", 40, int),
-        vsc_members=get("vsc", "members", 6, int),
-        vsc_amplitude=get("vsc", "amplitude", 0.02, float),
-        vsc_beta=get("vsc", "beta", 0.5, float),
-        out_dir=get("output", "directory", None),
-    )
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"config file not found: {path}")
+    except configparser.Error as err:
+        raise ConfigError(f"cannot parse config {path}: {err}") from None
+    keys = {f.metadata["key"]: f for f in fields(ExperimentConfig) if f.init}
+    values = {}
+    for section in parser.sections():
+        for key in parser[section]:
+            f = keys.get((section, key))
+            if f is None:
+                raise ConfigError(f"unknown config key [{section}] {key}")
+            try:
+                values[f.name] = f.metadata["parse"](parser.get(section, key))
+            except (ValueError, configparser.Error) as err:
+                raise ConfigError(f"cannot parse [{section}] {key}: "
+                                  f"{err}") from None
+    return ExperimentConfig(**values)
 
 
 def _write_json(path, payload: dict):
@@ -232,12 +208,9 @@ def verify_manifest(out_dir) -> bool:
 def build_medium(cfg: ExperimentConfig, seed: int):
     """The configured medium on the grid of ``[grids] n`` points."""
     grid = CubeGrid(np.pi, cfg.n)
-    if cfg.profile == "vacuum":
-        return make_test_index(BumpProfile(), grid, b=cfg.b,
-                               smoothness=cfg.smoothness)
-    if cfg.profile == "bump":
-        return make_test_index(cfg.bump, grid, b=cfg.b,
-                               smoothness=cfg.smoothness)
+    if cfg.profile in ("vacuum", "bump"):
+        bump = cfg.bump if cfg.profile == "bump" else BumpProfile()
+        return make_test_index(bump, grid, b=cfg.b, smoothness=cfg.smoothness)
     if cfg.profile == "bandlimited":
         return band_limited_index(grid, cfg.band_gamma_max,
                                   cfg.band_amplitude, seed=seed)
@@ -461,11 +434,13 @@ RUNNERS = {"forward": run_forward, "nearfield": run_nearfield,
            "farfield": run_farfield, "cgo": run_cgo,
            "vsc-check": run_vsc_check, "invert": run_invert,
            "rates": run_rates, "near2far": run_near2far}
+KINDS = tuple(RUNNERS)
 
 
 def run(kind: str, config_path, out_dir=None, seed: int = 0,
         threads: int = 1) -> dict:
     """Execute one experiment with ``threads`` FFT workers."""
+    _kind(kind)
     if threads < 1:
         raise ConfigError("threads must be at least 1")
     cfg = load_config(config_path)

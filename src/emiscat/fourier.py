@@ -168,11 +168,14 @@ class SobolevParams:
 
     def __post_init__(self):
         if self.m <= 3.5:
-            raise ValueError("require m > 7/2")
+            raise ValueError(f"m = {self.m} but the smoothness order "
+                             "requires m > 7/2")
         if self.s <= self.m:
-            raise ValueError("require s > m")
+            raise ValueError(f"s = {self.s}, m = {self.m} but the "
+                             "smoothness orders require s > m")
         if abs(self.s - (2.0 * self.m + 1.5)) < 1e-12:
-            raise ValueError("the exceptional case s = 2m + 3/2 is excluded")
+            raise ValueError(f"s = {self.s} = 2m + 3/2 is the excluded "
+                             "exceptional case (requires s != 2m + 3/2)")
 
     @property
     def tau(self) -> float:

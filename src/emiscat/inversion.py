@@ -27,7 +27,13 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import OptimizeResult, minimize
 
-from .forward import DataColumns, ScatteringSolver, SolveError
+from .forward import (
+    DataColumns,
+    FarFieldData,
+    NearFieldData,
+    ScatteringSolver,
+    SolveError,
+)
 from .fourier import (
     UNITARY_FACTOR,
     CubeGrid,
@@ -75,8 +81,12 @@ class InverseProblem:
     rtol: float = 1e-8
 
     def __post_init__(self):
-        if self.kind not in ("near", "far"):
+        data_type = {"near": NearFieldData, "far": FarFieldData}.get(self.kind)
+        if data_type is None:
             raise ValueError(f"unknown operator kind {self.kind!r}")
+        if not isinstance(self.data, data_type):
+            raise ValueError(f"kind {self.kind!r} needs {data_type.__name__}, "
+                             f"not {type(self.data).__name__}")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
         if self.gamma_max > self.grid.n // 2:

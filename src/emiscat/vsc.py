@@ -51,10 +51,14 @@ class ScheduleParams:
         return self.t >= self.t0
 
     def check_identities(self, tol: float = 1e-12):
+        """Raise ValueError naming the schedule identity that fails."""
         lhs = np.log(3.0 + self.delta**-2)
-        assert abs(9.0 * self.R * self.t - lhs) <= tol * max(1.0, lhs)
-        assert abs(self.rho ** (1.0 + self.tau + self.s - self.m) - lhs) \
-            <= tol * max(1.0, lhs)
+        if not abs(9.0 * self.R * self.t - lhs) <= tol * max(1.0, lhs):
+            raise ValueError("schedule identity 9Rt = ln(3+delta^-2) fails")
+        if not abs(self.rho ** (1.0 + self.tau + self.s - self.m) - lhs) \
+                <= tol * max(1.0, lhs):
+            raise ValueError("schedule identity "
+                             "rho^(1+tau+s-m) = ln(3+delta^-2) fails")
 
 
 def schedule(delta: float, R: float, m: float, s: float,

@@ -1,7 +1,8 @@
 """Package-level checks with the standard library only: every public name
-resolves, no module keeps a top-level import that it never uses, FFTs go
-through the two scipy.fft transforms that the benchmark's tracer wraps,
-and every package name the tracer's metrics read still exists."""
+resolves, no module keeps a top-level import that it never uses or an
+``assert`` statement (``python -O`` strips them), FFTs go through the two
+scipy.fft transforms that the benchmark's tracer wraps, and every package
+name the tracer's metrics read still exists."""
 
 import ast
 import importlib
@@ -49,6 +50,25 @@ def test_unused_import_detection():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def assert_lines(source: str) -> list:
+    """Lines of the source's ``assert`` statements, which ``python -O``
+    strips."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+def test_assert_detection():
+    source = ("def f(x):\n    assert x > 0, 'x'\n    return x\n"
+              "y = 'assert'\nassert f(1)\n")
+    assert assert_lines(source) == [2, 5]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_asserts(path):
+    assert assert_lines(path.read_text()) == []
 
 
 FFT_MODULES = {"scipy.fft", "np.fft", "numpy.fft", "scipy.fftpack"}

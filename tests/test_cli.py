@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from emiscat import cli, cgo_vectors
 from emiscat.cli import ConfigError, load_config, main, run, verify_manifest
 from emiscat.forward import PlaneWave, ScatteringSolver
+from emiscat.fourier import BumpProfile, SobolevParams
 from emiscat.io import read_field
 
 
@@ -107,6 +110,107 @@ s = 9.5
         cfg = write_config(tmp_path / "c.ini", BASE)
         with pytest.raises(ConfigError, match="threads"):
             run("forward", cfg, out_dir=str(tmp_path / "o"), threads=0)
+
+
+EVERY_KEY = """
+[experiment]
+kind = rates
+
+[physics]
+kappa = 1.5
+R = 4.5
+
+[grids]
+n = 12
+n_theta = 3
+n_phi = 5
+l = 7
+
+[smoothness]
+m = 4.5
+s = 7.25
+
+[medium]
+profile = bump
+centers = 0.3,-0.2,0.1; -0.4, 0.5, 0.0
+amplitudes = 0.2, 0.05+0.01j
+widths = 1.5, 0.75
+b = 0.7
+gamma_max = 1.5
+amplitude = 0.06
+
+[noise]
+deltas = 1e-1, 3e-3
+seeds = 5, 9
+
+[cgo]
+gamma = 1,-1,1
+t = 25.0
+m_grid = 24
+
+[inversion]
+gamma_max = 2.5
+a = 0.5
+nu = 0.25
+alpha = 1e-4
+maxiter = 7
+
+[vsc]
+members = 3
+amplitude = 0.03
+beta = 0.25
+
+[output]
+directory = some/dir
+"""
+
+BAD_CONFIGS = {
+    "unknown-key": ("[physics]\nkapa = 2.0\n", "[physics] kapa"),
+    "unknown-section": ("[phyzics]\nkappa = 2.0\n", "[phyzics] kappa"),
+    "malformed-value": ("[grids]\nn = sixteen\n", "[grids] n"),
+    "list-lengths": (BUMP.replace("amplitudes = 0.2", "amplitudes = 0.2,0.1"),
+                     "centers, amplitudes and widths"),
+}
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("text, key", BAD_CONFIGS.values(),
+                             ids=list(BAD_CONFIGS))
+    def test_bad_config_names_key(self, tmp_path, capsys, text, key):
+        cfg = write_config(tmp_path / "c.ini", text)
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(cfg)
+        out = tmp_path / "o"
+        assert main(["forward", "--config", cfg, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_key(self, tmp_path):
+        cfg = load_config(write_config(tmp_path / "c.ini", EVERY_KEY))
+        assert {f.name: getattr(cfg, f.name)
+                for f in fields(cfg) if f.init} == {
+            "kind": "rates", "kappa": 1.5, "R": 4.5, "n": 12, "n_theta": 3,
+            "n_phi": 5, "L": 7, "m": 4.5, "s": 7.25, "profile": "bump",
+            "centers": ((0.3, -0.2, 0.1), (-0.4, 0.5, 0.0)),
+            "amplitudes": (0.2 + 0j, 0.05 + 0.01j), "widths": (1.5, 0.75),
+            "b": 0.7, "band_gamma_max": 1.5, "band_amplitude": 0.06,
+            "deltas": (0.1, 0.003), "seeds": (5, 9),
+            "cgo_gamma": (1.0, -1.0, 1.0), "cgo_t": 25.0, "cgo_m_grid": 24,
+            "inv_gamma_max": 2.5, "inv_A": 0.5, "inv_nu": 0.25,
+            "inv_alpha": 1e-4, "inv_maxiter": 7, "vsc_members": 3,
+            "vsc_amplitude": 0.03, "vsc_beta": 0.25, "out_dir": "some/dir"}
+        assert cfg.bump == BumpProfile(cfg.centers, cfg.amplitudes,
+                                       cfg.widths)
+        assert cfg.smoothness == SobolevParams(4.5, 7.25)
+        assert cfg.nu == 0.25
+
+    def test_run_unknown_kind(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini", BASE)
+        out = tmp_path / "o"
+        kinds = ", ".join(cli.RUNNERS)
+        with pytest.raises(ConfigError, match=re.escape(kinds)):
+            run("sideways", cfg, out_dir=str(out))
+        assert not out.exists()
 
 
 class TestForwardPipeline:

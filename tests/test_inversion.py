@@ -769,6 +769,12 @@ class TestInverseProblemGuards:
         with pytest.raises(ValueError):
             small_problem(12, kind="sideways")
 
+    def test_kind_matches_data(self):
+        near = small_problem(8).data
+        with pytest.raises(ValueError, match="'far' needs FarFieldData, "
+                                             "not NearFieldData"):
+            small_problem(8, kind="far", data=near)
+
     def test_gamma_max_nyquist(self):
         with pytest.raises(ValueError):
             small_problem(12, gamma_max=7.0)

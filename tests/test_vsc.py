@@ -1,5 +1,6 @@
 """Tests for the stability-inequality verification lab."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -54,6 +55,13 @@ class TestSchedule:
     def test_identities(self):
         for delta in (1.0, 1e-3, 1e-8):
             p = schedule(delta, 2.0 * np.pi, 4.0, 6.0)
+            p.check_identities()
+
+    @pytest.mark.parametrize("change, identity", [({"t": 123.0}, "9Rt"),
+                                                  ({"rho": 2.0}, "rho")])
+    def test_identity_violation_raises(self, change, identity):
+        p = replace(schedule(1e-3, 2.0 * np.pi, 4.0, 6.0), **change)
+        with pytest.raises(ValueError, match=identity):
             p.check_identities()
 
     def test_delta_one(self):
