@@ -2,11 +2,11 @@
 
 Configs are INI files whose keys are declared once, each by a field of
 ``ExperimentConfig`` with its default and parser.  An undeclared key, an
-unparsable value or a violated guard raises ``ConfigError`` (exit 2).
-Every run writes its artifacts plus ``manifest.json`` listing each output
-file with a SHA-256 content hash; reruns with the same config and seed
-reproduce byte-identical payloads.  All randomness flows through one
-master seed recorded in the manifest.
+unparsable value or a violated guard raises ``ConfigError`` (exit 2)
+before the output directory exists.  Every run writes its artifacts plus
+``manifest.json`` listing each output file with a SHA-256 content hash;
+reruns with the same config and seed reproduce byte-identical payloads.
+All randomness flows through one master seed recorded in the manifest.
 """
 
 from __future__ import annotations
@@ -56,10 +56,19 @@ class ConfigError(Exception):
     """Invalid configuration; the message names the key or guard."""
 
 
-def _key(section: str, key: str, default=None, parse=str):
-    """A field read from ``[section] key`` by ``parse``, else ``default``."""
-    return field(default=default,
-                 metadata={"key": (section, key), "parse": parse})
+def _key(section: str, key: str, default=None, parse=str, profile=None):
+    """A field read from ``[section] key`` by ``parse``, else ``default``;
+    a ``[medium]`` key that one medium ``profile`` alone reads names it."""
+    return field(default=default, metadata=dict(
+        key=(section, key), parse=parse, profile=profile))
+
+
+def _guard(keys: str, build, *args):
+    """``build(*args)``, whose guards' ValueError names config ``keys``."""
+    try:
+        return build(*args)
+    except ValueError as err:
+        raise ConfigError(f"guard violated by {keys}: {err}") from None
 
 
 def _list(cast, sep=","):
@@ -78,9 +87,9 @@ def _kind(text: str) -> str:
 
 @dataclass
 class ExperimentConfig:
-    """Every parameter of an experiment.  Each field but the two derived
+    """Every parameter of an experiment.  Each field but the four derived
     ones is read from the config key in its metadata; construction
-    enforces the parameter guards."""
+    enforces the parameter guards and builds the derived fields."""
 
     kind: str | None = _key("experiment", "kind", None, _kind)
     kappa: float = _key("physics", "kappa", 1.0, float)
@@ -92,12 +101,16 @@ class ExperimentConfig:
     m: float = _key("smoothness", "m", 4.0, float)
     s: float = _key("smoothness", "s", 6.0, float)
     profile: str = _key("medium", "profile", "vacuum")
-    centers: tuple = _key("medium", "centers", (), _list(_list(float), ";"))
-    amplitudes: tuple = _key("medium", "amplitudes", (), _list(complex))
-    widths: tuple = _key("medium", "widths", (), _list(float))
+    centers: tuple = _key("medium", "centers", (), _list(_list(float), ";"),
+                          "bump")
+    amplitudes: tuple = _key("medium", "amplitudes", (), _list(complex),
+                             "bump")
+    widths: tuple = _key("medium", "widths", (), _list(float), "bump")
     b: float = _key("medium", "b", 0.5, float)
-    band_gamma_max: float = _key("medium", "gamma_max", 2.0, float)
-    band_amplitude: float = _key("medium", "amplitude", 0.08, float)
+    band_gamma_max: float = _key("medium", "gamma_max", 2.0, float,
+                                 "bandlimited")
+    band_amplitude: float = _key("medium", "amplitude", 0.08, float,
+                                 "bandlimited")
     deltas: tuple = _key("noise", "deltas", (), _list(float))
     seeds: tuple = _key("noise", "seeds", (), _list(int))
     cgo_gamma: tuple = _key("cgo", "gamma", (), _list(float))
@@ -114,18 +127,40 @@ class ExperimentConfig:
     out_dir: str | None = _key("output", "directory")
     smoothness: SobolevParams = field(init=False)
     bump: BumpProfile = field(init=False)
+    grid: CubeGrid = field(init=False)
+    sphere: SphereGrid = field(init=False)
 
     def __post_init__(self):
-        if self.R <= np.pi:
-            raise ConfigError(f"guard violated: R = {self.R} but the "
-                              "measurement radius requires R > pi")
-        if any(len(c) != 3 for c in self.centers):
-            raise ConfigError("[medium] centers need three coordinates each")
-        try:  # each raises ValueError naming the guard it violates
-            self.smoothness = SobolevParams(self.m, self.s)
-            self.bump = BumpProfile(self.centers, self.amplitudes, self.widths)
-        except ValueError as err:
-            raise ConfigError(f"guard violated: {err}") from None
+        if self.profile not in ("vacuum", "bump", "bandlimited"):
+            raise ConfigError(f"unknown [medium] profile {self.profile!r}; "
+                              "expected vacuum, bump or bandlimited")
+        for f in fields(self):
+            reader = f.metadata.get("profile") or self.profile
+            if reader != self.profile and getattr(self, f.name) != f.default:
+                raise ConfigError(f"[medium] {f.metadata['key'][1]} is "
+                                  f"read only under profile = {reader}")
+        for keys, holds, rule in (
+                ("[physics] r", self.R > np.pi, "R > pi"),
+                ("[grids] l", self.L is None or self.L >= 0, "L >= 0"),
+                ("[noise] deltas", min(self.deltas, default=0) >= 0,
+                 "deltas >= 0"),
+                ("[inversion] gamma_max", self.inv_gamma_max <= self.n // 2,
+                 "gamma_max <= n/2, the Nyquist frequency of [grids] n"),
+                ("[inversion] a", self.inv_A > 0, "A > 0"),
+                ("[inversion] nu",
+                 self.inv_nu is None or 0 < self.inv_nu < 1, "0 < nu < 1"),
+                ("[inversion] alpha",
+                 self.inv_alpha is None or self.inv_alpha > 0, "alpha > 0"),
+                ("[vsc] members", self.vsc_members >= 1, "members >= 1")):
+            if not holds:
+                raise ConfigError(f"guard violated by {keys}: requires {rule}")
+        self.smoothness = _guard("[smoothness]", SobolevParams, self.m, self.s)
+        self.bump = _guard("[medium]", BumpProfile, self.centers,
+                           self.amplitudes, self.widths)
+        self.grid = _guard("[grids] n", CubeGrid, np.pi, self.n)
+        self.sphere = _guard("[grids] n_theta, n_phi", SphereGrid.build,
+                             self.R, self.n_theta, self.n_phi)
+        _guard("[cgo] m_grid", CubeGrid, 2.0 * self.R, self.cgo_m_grid)
 
     @property
     def nu(self) -> float:
@@ -171,17 +206,17 @@ def _write_csv(path, header, rows):
 
 
 class Workspace:
-    """Output directory with a manifest of hashed artifacts."""
+    """Manifest of hashed artifacts in a directory made by the first write."""
 
     def __init__(self, out_dir, seed: int):
         self.dir = Path(out_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
         self.seed = seed
         self.artifacts = {}
 
     def write(self, name: str, writer, *args):
         """``writer(path, *args)`` writes the file ``name``; its SHA-256
         goes into the manifest."""
+        self.dir.mkdir(parents=True, exist_ok=True)
         path = self.dir / name
         writer(path, *args)
         self.artifacts[name] = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -206,15 +241,12 @@ def verify_manifest(out_dir) -> bool:
 
 
 def build_medium(cfg: ExperimentConfig, seed: int):
-    """The configured medium on the grid of ``[grids] n`` points."""
-    grid = CubeGrid(np.pi, cfg.n)
-    if cfg.profile in ("vacuum", "bump"):
-        bump = cfg.bump if cfg.profile == "bump" else BumpProfile()
-        return make_test_index(bump, grid, b=cfg.b, smoothness=cfg.smoothness)
+    """The configured medium on ``cfg.grid``; bump media are checked."""
     if cfg.profile == "bandlimited":
-        return band_limited_index(grid, cfg.band_gamma_max,
+        return band_limited_index(cfg.grid, cfg.band_gamma_max,
                                   cfg.band_amplitude, seed=seed)
-    raise ConfigError(f"unknown medium profile {cfg.profile!r}")
+    return _guard("[medium]", make_test_index, cfg.bump, cfg.grid, cfg.b,
+                  cfg.smoothness)
 
 
 def _require_bump_profile(cfg: ExperimentConfig, kind: str):
@@ -227,7 +259,7 @@ def _require_bump_profile(cfg: ExperimentConfig, kind: str):
 def _noise_seeds(cfg: ExperimentConfig, master: int, count: int):
     if cfg.seeds:
         if len(cfg.seeds) < count:
-            raise ConfigError("fewer seeds than noise levels in config")
+            raise ConfigError("fewer [noise] seeds than noise levels")
         return cfg.seeds[:count]
     return tuple(int(v) for v in
                  np.random.SeedSequence(master).generate_state(count))
@@ -241,8 +273,7 @@ def _box(medium) -> dict:
             "box_shape": [s.stop - s.start for s in box]}
 
 
-def run_forward(cfg, ws: Workspace):
-    medium = build_medium(cfg, ws.seed)
+def run_forward(cfg, medium, ws: Workspace):
     solver = ScatteringSolver(medium, cfg.kappa)
     source = PlaneWave(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
                        cfg.kappa)
@@ -262,20 +293,17 @@ def run_forward(cfg, ws: Workspace):
     })
 
 
-def run_nearfield(cfg, ws: Workspace):
-    medium = build_medium(cfg, ws.seed)
-    sphere = SphereGrid.build(cfg.R, cfg.n_theta, cfg.n_phi)
-    data = near_field_operator(medium, cfg.kappa, sphere)
+def run_nearfield(cfg, medium, ws: Workspace):
+    data = near_field_operator(medium, cfg.kappa, cfg.sphere)
     ws.write("near_data.dat", containers.write_data, data)
     ws.write("nearfield_summary.json", _write_json, {
         "kind": "nearfield", "kappa": cfg.kappa, "radius": cfg.R,
-        "nodes": int(sphere.nodes.shape[0]), "norm": data.norm(),
+        "nodes": int(cfg.sphere.nodes.shape[0]), "norm": data.norm(),
         **_box(medium),
     })
 
 
-def run_farfield(cfg, ws: Workspace):
-    medium = build_medium(cfg, ws.seed)
+def run_farfield(cfg, medium, ws: Workspace):
     unit = SphereGrid.build(1.0, cfg.n_theta, cfg.n_phi)
     data = far_field_operator(medium, cfg.kappa, unit, unit)
     ws.write("far_data.dat", containers.write_data, data)
@@ -286,12 +314,12 @@ def run_farfield(cfg, ws: Workspace):
     })
 
 
-def run_cgo(cfg, ws: Workspace):
+def run_cgo(cfg, medium, ws: Workspace):
     if cfg.cgo_t is None or not cfg.cgo_gamma:
         raise ConfigError("cgo runs need [cgo] gamma and t")
     _require_bump_profile(cfg, "cgo")
-    medium = build_medium(cfg, ws.seed)
-    v = cgo_vectors(cfg.cgo_gamma, cfg.cgo_t, cfg.kappa)
+    v = _guard("[cgo] gamma, t", cgo_vectors, cfg.cgo_gamma, cfg.cgo_t,
+               cfg.kappa)
     sol = cgo_solve(medium, v.zeta1, v.eta1, cfg.R, m_grid=cfg.cgo_m_grid,
                     kappa=cfg.kappa, rotation=v.rotation)
     ws.write("cgo_u.fld", containers.write_field, sol.u, sol.grid,
@@ -311,11 +339,9 @@ def run_cgo(cfg, ws: Workspace):
     })
 
 
-def run_vsc_check(cfg, ws: Workspace):
+def run_vsc_check(cfg, base, ws: Workspace):
     _require_bump_profile(cfg, "vsc-check")
-    base = build_medium(cfg, ws.seed)
-    sphere = SphereGrid.build(cfg.R, cfg.n_theta, cfg.n_phi)
-    w_base = near_field_operator(base, cfg.kappa, sphere)
+    w_base = near_field_operator(base, cfg.kappa, cfg.sphere)
     rng = np.random.default_rng(ws.seed)
     family, misfits = [], []
     for _ in range(cfg.vsc_members):
@@ -330,7 +356,7 @@ def run_vsc_check(cfg, ws: Workspace):
                                  smoothness=cfg.smoothness)
         family.append(member)
         misfits.append(data_diff_norm(
-            near_field_operator(member, cfg.kappa, sphere), w_base))
+            near_field_operator(member, cfg.kappa, cfg.sphere), w_base))
     report = vsc_check(base, family, misfits, cfg.m, cfg.nu,
                        beta=cfg.vsc_beta, family_id="cli")
     ws.write("vsc_samples.csv", _write_csv,
@@ -346,25 +372,23 @@ def run_vsc_check(cfg, ws: Workspace):
     })
 
 
-def _near_problem(cfg, grid, data, delta):
-    return InverseProblem(kind="near", kappa=cfg.kappa, grid=grid, data=data,
-                          delta=delta, m=cfg.m, gamma_max=cfg.inv_gamma_max,
-                          b=cfg.b)
+def _near_problem(cfg, data, delta):
+    return InverseProblem(kind="near", kappa=cfg.kappa, grid=cfg.grid,
+                          data=data, delta=delta, m=cfg.m,
+                          gamma_max=cfg.inv_gamma_max, b=cfg.b)
 
 
-def run_invert(cfg, ws: Workspace):
+def run_invert(cfg, truth, ws: Workspace):
     if not cfg.deltas:
         raise ConfigError("invert runs need [noise] deltas (first entry used)")
-    truth = build_medium(cfg, ws.seed)
-    grid = truth.grid
-    sphere = SphereGrid.build(cfg.R, cfg.n_theta, cfg.n_phi)
-    clean = near_field_operator(truth, cfg.kappa, sphere)
     delta = cfg.deltas[0]
     seed = _noise_seeds(cfg, ws.seed, 1)[0]
-    noisy = add_noise(clean, delta, seed)
     alpha = cfg.inv_alpha if cfg.inv_alpha is not None \
-        else alpha_rule(delta, cfg.inv_A, cfg.nu)
-    prob = _near_problem(cfg, grid, noisy, delta)
+        else _guard("[noise] deltas", alpha_rule, delta, cfg.inv_A, cfg.nu)
+    grid = truth.grid
+    clean = near_field_operator(truth, cfg.kappa, cfg.sphere)
+    noisy = add_noise(clean, delta, seed)
+    prob = _near_problem(cfg, noisy, delta)
     res = tikhonov_reconstruct(prob, alpha, maxiter=cfg.inv_maxiter)
     ws.write("reconstruction.fld", containers.write_field, res.medium.values,
              grid, "refractive-index")
@@ -378,14 +402,14 @@ def run_invert(cfg, ws: Workspace):
     })
 
 
-def run_rates(cfg, ws: Workspace):
-    if len(cfg.deltas) < 2:
-        raise ConfigError("rates runs need at least two [noise] deltas")
-    truth = build_medium(cfg, ws.seed)
-    sphere = SphereGrid.build(cfg.R, cfg.n_theta, cfg.n_phi)
-    clean = near_field_operator(truth, cfg.kappa, sphere)
-    prob = _near_problem(cfg, truth.grid, clean, 0.0)
-    seeds = _noise_seeds(cfg, ws.seed, len(cfg.deltas))
+def run_rates(cfg, truth, ws: Workspace):
+    d = cfg.deltas
+    if len(d) < 2 or min(d) <= 0 or any(b >= a for a, b in zip(d, d[1:])):
+        raise ConfigError("rates runs need at least two [noise] deltas, "
+                          "positive and strictly decreasing")
+    seeds = _noise_seeds(cfg, ws.seed, len(d))
+    clean = near_field_operator(truth, cfg.kappa, cfg.sphere)
+    prob = _near_problem(cfg, clean, 0.0)
     study = rate_study(truth, prob, cfg.deltas, seeds, cfg.inv_A, cfg.nu,
                        maxiter=cfg.inv_maxiter)
     ws.write("rates.csv", _write_csv,
@@ -400,8 +424,7 @@ def run_rates(cfg, ws: Workspace):
     })
 
 
-def run_near2far(cfg, ws: Workspace):
-    medium = build_medium(cfg, ws.seed)
+def run_near2far(cfg, medium, ws: Workspace):
     L = cfg.L if cfg.L is not None else int(np.ceil(cfg.kappa * cfg.R)) + 12
     n_theta = L + 1
     n_phi = 2 * L + 1
@@ -410,14 +433,13 @@ def run_near2far(cfg, ws: Workspace):
     coeffs = far_coeffs(far, L)
     ws.write("far_coeffs.alf", containers.write_far_coeffs, coeffs)
     # compare the series reconstruction on 2R with direct near data
-    src_sphere = SphereGrid.build(cfg.R, cfg.n_theta, cfg.n_phi)
     eval_pts = SphereGrid.build(2.0 * cfg.R, cfg.n_theta, cfg.n_phi)
-    direct = near_field_operator(medium, cfg.kappa, src_sphere,
+    direct = near_field_operator(medium, cfg.kappa, cfg.sphere,
                                  receivers=eval_pts)
     series = np.zeros_like(direct.matrices)
     shells = []
     for ix, x in enumerate(eval_pts.points()):
-        for iy, y in enumerate(src_sphere.points()):
+        for iy, y in enumerate(cfg.sphere.points()):
             series[ix, iy], last = near_from_far(coeffs, cfg.kappa, x, y)
             shells.append(last)
     num = np.linalg.norm(series - direct.matrices)
@@ -450,9 +472,10 @@ def run(kind: str, config_path, out_dir=None, seed: int = 0,
     target = out_dir or cfg.out_dir
     if target is None:
         raise ConfigError("no output directory (config [output] or --out)")
-    ws = Workspace(target, seed)
     with scipy.fft.set_workers(threads):
-        RUNNERS[kind](cfg, ws)
+        medium = build_medium(cfg, seed)
+        ws = Workspace(target, seed)
+        RUNNERS[kind](cfg, medium, ws)
     return ws.finish()
 
 

@@ -627,6 +627,9 @@ class SphereGrid:
 
     @staticmethod
     def build(radius: float, n_theta: int, n_phi: int) -> "SphereGrid":
+        if n_theta < 1 or n_phi < 1:
+            raise ValueError(f"n_theta = {n_theta} and n_phi = {n_phi} "
+                             "must be at least 1")
         mu, w = np.polynomial.legendre.leggauss(n_theta)
         phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
         st = np.sqrt(1.0 - mu**2)

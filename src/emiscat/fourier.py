@@ -214,6 +214,8 @@ class BumpProfile:
     def __post_init__(self):
         if not (len(self.centers) == len(self.amplitudes) == len(self.widths)):
             raise ProfileError("centers, amplitudes and widths must have equal length")
+        if any(len(c) != 3 for c in self.centers):
+            raise ProfileError("each bump center needs three coordinates")
 
     def contrast(self, points: np.ndarray) -> np.ndarray:
         """Evaluate n - 1 at arbitrary points, shape (..., 3) -> (...)."""

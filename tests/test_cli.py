@@ -11,7 +11,7 @@ import pytest
 from emiscat import cli, cgo_vectors
 from emiscat.cli import ConfigError, load_config, main, run, verify_manifest
 from emiscat.forward import PlaneWave, ScatteringSolver
-from emiscat.fourier import BumpProfile, SobolevParams
+from emiscat.fourier import BumpProfile, CubeGrid, SobolevParams
 from emiscat.io import read_field
 
 
@@ -130,15 +130,6 @@ l = 7
 m = 4.5
 s = 7.25
 
-[medium]
-profile = bump
-centers = 0.3,-0.2,0.1; -0.4, 0.5, 0.0
-amplitudes = 0.2, 0.05+0.01j
-widths = 1.5, 0.75
-b = 0.7
-gamma_max = 1.5
-amplitude = 0.06
-
 [noise]
 deltas = 1e-1, 3e-3
 seeds = 5, 9
@@ -164,12 +155,72 @@ beta = 0.25
 directory = some/dir
 """
 
+# each profile with the [medium] keys it reads, and their parsed values
+MEDIUM_KEYS = {
+    "bump": ("centers = 0.3,-0.2,0.1; -0.4, 0.5, 0.0\n"
+             "amplitudes = 0.2, 0.05+0.01j\nwidths = 1.5, 0.75\n",
+             {"centers": ((0.3, -0.2, 0.1), (-0.4, 0.5, 0.0)),
+              "amplitudes": (0.2 + 0j, 0.05 + 0.01j), "widths": (1.5, 0.75)}),
+    "bandlimited": ("gamma_max = 1.5\namplitude = 0.06\n",
+                    {"band_gamma_max": 1.5, "band_amplitude": 0.06}),
+}
+
 BAD_CONFIGS = {
     "unknown-key": ("[physics]\nkapa = 2.0\n", "[physics] kapa"),
     "unknown-section": ("[phyzics]\nkappa = 2.0\n", "[phyzics] kappa"),
     "malformed-value": ("[grids]\nn = sixteen\n", "[grids] n"),
     "list-lengths": (BUMP.replace("amplitudes = 0.2", "amplitudes = 0.2,0.1"),
                      "centers, amplitudes and widths"),
+    "center-coordinates": (BUMP.replace("0.3,-0.2,0.1", "0.3,-0.2"),
+                           "[medium]: each bump center"),
+    "unknown-profile": ("[medium]\nprofile = bumpy\n", "[medium] profile"),
+    "bump-key-under-vacuum": (BUMP.replace("profile = bump", ""),
+                              "[medium] centers"),
+    "band-key-under-bump": (BUMP + "gamma_max = 1.5\n", "[medium] gamma_max"),
+    "odd-grid": ("[grids]\nn = 7\n", "[grids] n"),
+    "no-sphere-nodes": ("[grids]\nn_theta = 0\n", "[grids] n_theta"),
+    "negative-degree": ("[grids]\nl = -1\n", "[grids] l"),
+    "empty-family": ("[vsc]\nmembers = 0\n", "[vsc] members"),
+    "negative-delta": ("[noise]\ndeltas = -0.1\n", "[noise] deltas"),
+    "odd-cgo-grid": ("[cgo]\nm_grid = 7\n", "[cgo] m_grid"),
+    "band-beyond-nyquist": ("[grids]\nn = 8\n[inversion]\ngamma_max = 9\n",
+                            "[inversion] gamma_max"),
+    "negative-alpha": ("[inversion]\nalpha = -1\n", "[inversion] alpha"),
+    "zero-a": ("[inversion]\na = 0\n", "[inversion] a"),
+    "nu-above-one": ("[inversion]\nnu = 1.5\n", "[inversion] nu"),
+}
+
+BAND = """
+[medium]
+profile = bandlimited
+gamma_max = 2.0
+amplitude = 0.06
+
+[inversion]
+gamma_max = 2.0
+maxiter = 2
+"""
+
+# (kind, config, key): checks a kind makes of its own, before any solve
+BAD_RUNS = {
+    "out-of-ball-bump": ("forward", BASE + BUMP.replace("0.3,-0.2,0.1",
+                                                        "2.5,0,0"),
+                         "[medium]: bump at"),
+    "cgo-without-gamma-t": ("cgo", BASE + BUMP, "[cgo] gamma and t"),
+    "cgo-gamma-zero": ("cgo", BASE + BUMP + "[cgo]\ngamma = 0,0,0\nt = 25\n",
+                       "[cgo] gamma, t"),
+    "bandlimited-vsc-check": ("vsc-check", BASE + BAND,
+                              "[medium] profile = 'bandlimited'"),
+    "too-few-seeds": ("rates", BASE + BAND
+                      + "[noise]\ndeltas = 0.1, 0.01\nseeds = 1\n",
+                      "fewer [noise] seeds"),
+    "increasing-rates-deltas": ("rates", BASE + BAND
+                                + "[noise]\ndeltas = 0.01, 0.1\n",
+                                "[noise] deltas"),
+    "zero-rates-delta": ("rates", BASE + BAND + "[noise]\ndeltas = 0.1, 0\n",
+                         "[noise] deltas"),
+    "invert-zero-delta": ("invert", BASE + BAND + "[noise]\ndeltas = 0\n",
+                          "[noise] deltas"),
 }
 
 
@@ -186,23 +237,55 @@ class TestConfigKeys:
         assert not out.exists()
 
     def test_every_key(self, tmp_path):
-        cfg = load_config(write_config(tmp_path / "c.ini", EVERY_KEY))
-        assert {f.name: getattr(cfg, f.name)
-                for f in fields(cfg) if f.init} == {
-            "kind": "rates", "kappa": 1.5, "R": 4.5, "n": 12, "n_theta": 3,
-            "n_phi": 5, "L": 7, "m": 4.5, "s": 7.25, "profile": "bump",
-            "centers": ((0.3, -0.2, 0.1), (-0.4, 0.5, 0.0)),
-            "amplitudes": (0.2 + 0j, 0.05 + 0.01j), "widths": (1.5, 0.75),
-            "b": 0.7, "band_gamma_max": 1.5, "band_amplitude": 0.06,
-            "deltas": (0.1, 0.003), "seeds": (5, 9),
-            "cgo_gamma": (1.0, -1.0, 1.0), "cgo_t": 25.0, "cgo_m_grid": 24,
-            "inv_gamma_max": 2.5, "inv_A": 0.5, "inv_nu": 0.25,
-            "inv_alpha": 1e-4, "inv_maxiter": 7, "vsc_members": 3,
-            "vsc_amplitude": 0.03, "vsc_beta": 0.25, "out_dir": "some/dir"}
-        assert cfg.bump == BumpProfile(cfg.centers, cfg.amplitudes,
-                                       cfg.widths)
-        assert cfg.smoothness == SobolevParams(4.5, 7.25)
-        assert cfg.nu == 0.25
+        # a [medium] key is read under one profile only, so every key is
+        # covered by one config per profile
+        for profile, (keys, values) in MEDIUM_KEYS.items():
+            cfg = load_config(write_config(
+                tmp_path / f"{profile}.ini",
+                EVERY_KEY + f"\n[medium]\nprofile = {profile}\nb = 0.7\n"
+                + keys))
+            assert {f.name: getattr(cfg, f.name)
+                    for f in fields(cfg) if f.init} == {
+                "kind": "rates", "kappa": 1.5, "R": 4.5, "n": 12,
+                "n_theta": 3, "n_phi": 5, "L": 7, "m": 4.5, "s": 7.25,
+                "profile": profile, "centers": (), "amplitudes": (),
+                "widths": (), "b": 0.7, "band_gamma_max": 2.0,
+                "band_amplitude": 0.08, **values,
+                "deltas": (0.1, 0.003), "seeds": (5, 9),
+                "cgo_gamma": (1.0, -1.0, 1.0), "cgo_t": 25.0,
+                "cgo_m_grid": 24, "inv_gamma_max": 2.5, "inv_A": 0.5,
+                "inv_nu": 0.25, "inv_alpha": 1e-4, "inv_maxiter": 7,
+                "vsc_members": 3, "vsc_amplitude": 0.03, "vsc_beta": 0.25,
+                "out_dir": "some/dir"}
+            assert cfg.bump == BumpProfile(cfg.centers, cfg.amplitudes,
+                                           cfg.widths)
+            assert cfg.smoothness == SobolevParams(4.5, 7.25)
+            assert cfg.nu == 0.25
+            assert cfg.grid == CubeGrid(np.pi, 12)
+            assert cfg.sphere.radius == 4.5 and cfg.sphere.nodes.shape == (15, 3)
+
+    @pytest.mark.parametrize("kind, text, key", BAD_RUNS.values(),
+                             ids=list(BAD_RUNS))
+    def test_bad_run_names_key(self, tmp_path, capsys, monkeypatch, kind,
+                               text, key):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the checks")
+
+        for name in ("ScatteringSolver", "near_field_operator",
+                     "far_field_operator", "cgo_solve"):
+            monkeypatch.setattr(cli, name, no_solve)
+        cfg = write_config(tmp_path / "c.ini", text)
+        out = tmp_path / "o"
+        assert main([kind, "--config", cfg, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_workspace_made_by_first_write(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        ws = cli.Workspace(out, 0)
+        assert not out.exists()
+        ws.write("x.txt", lambda path: path.write_text("x"))
+        assert (out / "x.txt").read_text() == "x"
 
     def test_run_unknown_kind(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", BASE)
