@@ -36,6 +36,7 @@ import scipy.fft
 from .fourier import CubeGrid, RefractiveIndex
 
 AXES = (-3, -2, -1)  # the cube's axes; any leading axis indexes components
+NEUMANN_TOL, NEUMANN_SWEEPS = 1e-11, 80  # relative step to stop; sweep limit
 
 
 class CgoError(RuntimeError):
@@ -315,8 +316,7 @@ def _ball_l2(values, ball, spacing: float) -> float:
 
 
 def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, m_grid: int = 64,
-              kappa: float | None = None, rotation=None, tol: float = 1e-11,
-              max_iter: int = 80) -> CgoSolution:
+              kappa: float | None = None, rotation=None) -> CgoSolution:
     """Solve the conjugated CGO system and assemble the remainder parts.
 
     ``zeta`` and ``eta`` are given in the medium's frame and must satisfy
@@ -324,7 +324,8 @@ def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, m_grid: int = 64,
     pair ``CgoVectors.rotation``; the identity when None) must bring
     Im(zeta) onto e_z: the solve uses rot @ zeta and rot @ eta and samples
     the medium in the rotated frame, so the medium, not the operator, is
-    rotated.
+    rotated.  Past ``NEUMANN_SWEEPS`` sweeps, :class:`CgoError` carries
+    the contraction ratios.
     """
     zeta = np.asarray(zeta, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
@@ -344,7 +345,7 @@ def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, m_grid: int = 64,
     ea, hb = f1, f2  # a sweep writes only into fresh buffers
     prev_delta = None
     ratios = []
-    for sweep in range(1, max_iter + 1):
+    for sweep in range(1, NEUMANN_SWEEPS + 1):
         qa, qb = med.q_apply(ea, hb)
         ga, gb = op(qa), op(qb)
         new_a = np.subtract(f1, ga, out=qa)
@@ -359,7 +360,7 @@ def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, m_grid: int = 64,
         if prev_delta is not None and prev_delta > 0:
             ratios.append(delta / prev_delta)
         prev_delta = delta
-        if delta <= tol * max(scale, 1e-300):
+        if delta <= NEUMANN_TOL * max(scale, 1e-300):
             break
     else:
         raise CgoError("Neumann iteration did not converge "

@@ -45,6 +45,7 @@ from .inversion import (
     add_noise,
     alpha_rule,
     band_limited_index,
+    check_levels,
     rate_study,
     tikhonov_reconstruct,
 )
@@ -140,6 +141,7 @@ class ExperimentConfig:
                 raise ConfigError(f"[medium] {f.metadata['key'][1]} is "
                                   f"read only under profile = {reader}")
         for keys, holds, rule in (
+                ("[physics] kappa", self.kappa > 0, "kappa > 0"),
                 ("[physics] r", self.R > np.pi, "R > pi"),
                 ("[grids] l", self.L is None or self.L >= 0, "L >= 0"),
                 ("[noise] deltas", min(self.deltas, default=0) >= 0,
@@ -341,9 +343,8 @@ def run_cgo(cfg, medium, ws: Workspace):
 
 def run_vsc_check(cfg, base, ws: Workspace):
     _require_bump_profile(cfg, "vsc-check")
-    w_base = near_field_operator(base, cfg.kappa, cfg.sphere)
     rng = np.random.default_rng(ws.seed)
-    family, misfits = [], []
+    family = []
     for _ in range(cfg.vsc_members):
         center = rng.uniform(-0.5, 0.5, size=3)
         width = rng.uniform(1.0, 1.6)
@@ -352,11 +353,12 @@ def run_vsc_check(cfg, base, ws: Workspace):
             centers=base.profile.centers + (tuple(center),),
             amplitudes=base.profile.amplitudes + (amp,),
             widths=base.profile.widths + (width,))
-        member = make_test_index(prof, base.grid, b=cfg.b,
-                                 smoothness=cfg.smoothness)
-        family.append(member)
-        misfits.append(data_diff_norm(
-            near_field_operator(member, cfg.kappa, cfg.sphere), w_base))
+        family.append(_guard("[vsc] amplitude", make_test_index, prof,
+                             base.grid, cfg.b, cfg.smoothness))
+    w_base = near_field_operator(base, cfg.kappa, cfg.sphere)
+    misfits = [data_diff_norm(near_field_operator(member, cfg.kappa,
+                                                  cfg.sphere), w_base)
+               for member in family]
     report = vsc_check(base, family, misfits, cfg.m, cfg.nu,
                        beta=cfg.vsc_beta, family_id="cli")
     ws.write("vsc_samples.csv", _write_csv,
@@ -403,11 +405,8 @@ def run_invert(cfg, truth, ws: Workspace):
 
 
 def run_rates(cfg, truth, ws: Workspace):
-    d = cfg.deltas
-    if len(d) < 2 or min(d) <= 0 or any(b >= a for a, b in zip(d, d[1:])):
-        raise ConfigError("rates runs need at least two [noise] deltas, "
-                          "positive and strictly decreasing")
-    seeds = _noise_seeds(cfg, ws.seed, len(d))
+    seeds = _noise_seeds(cfg, ws.seed, len(cfg.deltas))
+    _guard("[noise] deltas", check_levels, cfg.deltas, seeds)
     clean = near_field_operator(truth, cfg.kappa, cfg.sphere)
     prob = _near_problem(cfg, clean, 0.0)
     study = rate_study(truth, prob, cfg.deltas, seeds, cfg.inv_A, cfg.nu,

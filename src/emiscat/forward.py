@@ -20,9 +20,11 @@ of about twice the box, so that its potential is the whole grid's with the
 contrast and grad(n)/n zeroed outside the box.  That routine has no
 adjoint: the adjoint potential, and the field off the box
 (:meth:`ScatteringSolver.grid_field`), run on the whole grid's (2N)^3
-lattice.  Fields, GMRES vectors and densities live on the box nodes.  The
-transforms run in place on work buffers each solver allocates once, so a
-solver serves one caller at a time.
+lattice.  Fields, GMRES vectors and densities live on the box nodes, with
+the medium's own (q, p).  The transforms run in place on work buffers each
+solver allocates once, so a solver serves one caller at a time.  GMRES runs
+at the module constants ``GMRES_RTOL``, ``GMRES_RESTART`` and
+``GMRES_MAXITER``.
 
 Near- and far-field data operators assemble the 3x3 matrix responses to
 dipole and plane-wave excitations on measurement spheres.  Both, and the
@@ -169,6 +171,8 @@ def truncated_kernel_symbol(xi_norm, kappa, radius):
 
 # nodes kept on each side of a bump medium's support in its solver's box
 BOX_MARGIN = 3
+# GMRES relative residual, restart length and matvec limit of every solve
+GMRES_RTOL, GMRES_RESTART, GMRES_MAXITER = 1e-8, 50, 2000
 
 
 def support_box(n) -> tuple:
@@ -371,13 +375,9 @@ class ScatteringSolver:
     are ``pts``: fields, incident fields and densities live there, and the
     potential is the whole grid's with (q, p) zeroed outside the box."""
 
-    def __init__(self, n: RefractiveIndex, kappa: float, rtol: float = 1e-8,
-                 restart: int = 50, maxiter: int = 2000):
+    def __init__(self, n: RefractiveIndex, kappa: float):
         self.n = n
         self.kappa = float(kappa)
-        self.rtol = rtol
-        self.restart = restart
-        self.maxiter = maxiter
         grid = n.grid
         if abs(grid.half_side - np.pi) > 1e-12:
             raise ValueError("medium must live on C(pi)")
@@ -393,6 +393,7 @@ class ScatteringSolver:
         for c, f in enumerate((f1, f2, f3)):
             grad[..., c] = inverse_fourier(1j * f * n.coeffs, grid)
         self.p = grad[self.box] / n.values[self.box][..., None]
+        self._scatters = bool(np.any(self.q) or np.any(self.p))
         # quadrature nodes of the data maps: the contrast lives in B(pi), and
         # derivative pairings need every node a perturbation may reach
         self.ball = grid.radii()[self.box] < np.pi
@@ -413,16 +414,13 @@ class ScatteringSolver:
         return truncated_kernel_symbol(np.sqrt(np.arange(3 * N * N + 1) / 4.0),
                                        self.kappa, 2.0 * np.pi)[s]
 
-    def potential(self, e, q=None, p=None):
-        """-kappa^2 conv(Phi, q E) + grad conv(Phi, p.E) on the box.
-
-        (q, p) default to the medium's; a medium perturbation passes its
-        own.  Without contrast (q = p = 0) it is zero, with no transform."""
-        if q is None:
-            q, p = self.q, self.p
-        if not (np.any(q) or np.any(p)):
+    def potential(self, e):
+        """-kappa^2 conv(Phi, q E) + grad conv(Phi, p.E) on the box, with
+        the medium's (q, p).  Without contrast (q = p = 0) it is zero, with
+        no transform."""
+        if not self._scatters:
             return np.zeros(e.shape, dtype=complex)
-        return self._conv.potential(e, q, p)
+        return self._conv.potential(e, self.q, self.p)
 
     def potential_adjoint(self, lam):
         """Adjoint of the potential's volume map (q E, p.E) -> field.
@@ -446,7 +444,7 @@ class ScatteringSolver:
         return (e - self.potential(e)).ravel()
 
     def _krylov(self, matvec, b, x0=None, context=None):
-        """GMRES for matvec(x) = b at the solver's tolerance and iteration
+        """GMRES for matvec(x) = b at the module's tolerance and iteration
         limits; checks the true residual and raises :class:`SolveError`
         with the residual history and ``context`` on failure.
 
@@ -466,9 +464,9 @@ class ScatteringSolver:
 
         op = LinearOperator((b.size, b.size), matvec=recorded, dtype=complex)
         residuals = []
-        x, info = gmres(op, b, x0=x0, rtol=self.rtol, atol=0.0,
-                        restart=self.restart,
-                        maxiter=self.maxiter // self.restart,
+        x, info = gmres(op, b, x0=x0, rtol=GMRES_RTOL, atol=0.0,
+                        restart=GMRES_RESTART,
+                        maxiter=GMRES_MAXITER // GMRES_RESTART,
                         callback=residuals.append, callback_type="pr_norm")
         if info != 0:
             raise SolveError(f"GMRES did not converge (info={info})",
@@ -478,7 +476,7 @@ class ScatteringSolver:
             resid = last[1]
         else:
             resid = np.linalg.norm(matvec(x) - b)
-        if resid > 10 * self.rtol * bnorm:
+        if resid > 10 * GMRES_RTOL * bnorm:
             raise SolveError(f"residual {resid / bnorm:.2e} above tolerance",
                              residuals=residuals, context=context)
         return x
@@ -514,13 +512,12 @@ class ScatteringSolver:
         e_inc = source.electric(self.pts)
         return e_inc + self.potential(e_inc)
 
-    def densities(self, e, q=None, p=None):
-        """Volume densities (q E, p.E) on the box nodes in B(pi); (q, p) as
-        in :meth:`potential`."""
-        if q is None:
-            q, p = self.q, self.p
+    def densities(self, e):
+        """Volume densities (q E, p.E) on the box nodes in B(pi), with the
+        medium's (q, p)."""
         eb = e[self.ball]
-        return q[self.ball][:, None] * eb, np.sum(p[self.ball] * eb, axis=-1)
+        return (self.q[self.ball][:, None] * eb,
+                np.sum(self.p[self.ball] * eb, axis=-1))
 
     def receiver_map(self, kind: str, points) -> "ReceiverMap":
         """Near (receiver points) or far (unit directions) data map of this
@@ -743,15 +740,14 @@ def _solve_columns(solver, columns: DataColumns, measure):
 
 
 def near_field_operator(n: RefractiveIndex, kappa: float, sources: SphereGrid,
-                        receivers: SphereGrid | None = None,
-                        rtol: float = 1e-8) -> NearFieldData:
+                        receivers: SphereGrid | None = None) -> NearFieldData:
     """Scattered part of the Green's tensor data, column j the response to a
     unit dipole moment along axis j."""
     if sources.radius <= np.pi:
         raise ValueError("measurement sphere must have radius > pi")
     if receivers is None:
         receivers = sources
-    solver = ScatteringSolver(n, kappa, rtol=rtol)
+    solver = ScatteringSolver(n, kappa)
     rec_pts = receivers.points()
     mats = _solve_columns(solver, DataColumns.dipoles(sources, kappa),
                           lambda e: solver.scattered_at(e, rec_pts))
@@ -759,11 +755,10 @@ def near_field_operator(n: RefractiveIndex, kappa: float, sources: SphereGrid,
 
 
 def far_field_operator(n: RefractiveIndex, kappa: float, receivers: SphereGrid,
-                       incidences: SphereGrid,
-                       rtol: float = 1e-8) -> FarFieldData:
+                       incidences: SphereGrid) -> FarFieldData:
     """Matrix far-field patterns from two tangential plane-wave solves per
     incidence."""
-    solver = ScatteringSolver(n, kappa, rtol=rtol)
+    solver = ScatteringSolver(n, kappa)
     mats = _solve_columns(solver, DataColumns.plane_waves(incidences, kappa),
                           lambda e: solver.far_pattern(e, receivers.nodes))
     return FarFieldData(receivers=receivers, incidences=incidences, matrices=mats)

@@ -99,33 +99,27 @@ def inverse_fourier(coeffs: np.ndarray, grid: CubeGrid) -> np.ndarray:
     return scipy.fft.ifftn(coeffs * phase / scale)
 
 
-def hm_norm(coeffs: np.ndarray, m: float, grid: CubeGrid | None = None) -> float:
+def hm_norm(coeffs: np.ndarray, m: float, grid: CubeGrid) -> float:
     """Sobolev H^m norm from Fourier coefficients.
 
     ``sqrt(sum (1+|gamma|^2)^m |c(gamma)|^2)`` over the discrete lattice.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if grid is None:
-        grid = CubeGrid(np.pi, coeffs.shape[0])
     w = (1.0 + grid.gamma_norm2()) ** m
     return float(np.sqrt(np.sum(w * np.abs(coeffs) ** 2)))
 
 
-def hm_inner(c1: np.ndarray, c2: np.ndarray, m: float, grid: CubeGrid | None = None) -> complex:
+def hm_inner(c1: np.ndarray, c2: np.ndarray, m: float, grid: CubeGrid) -> complex:
     """H^m inner product ``sum (1+|gamma|^2)^m c1 conj(c2)``."""
-    if grid is None:
-        grid = CubeGrid(np.pi, c1.shape[0])
     w = (1.0 + grid.gamma_norm2()) ** m
     return complex(np.sum(w * c1 * np.conj(c2)))
 
 
-def project_low(coeffs: np.ndarray, rho: float, grid: CubeGrid | None = None) -> np.ndarray:
+def project_low(coeffs: np.ndarray, rho: float, grid: CubeGrid) -> np.ndarray:
     """Zero out all coefficients with |gamma| > rho (idempotent)."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    if grid is None:
-        grid = CubeGrid(np.pi, coeffs.shape[0])
     mask = grid.gamma_norm2() <= rho**2
     return np.where(mask, coeffs, 0.0)
 

@@ -13,7 +13,8 @@ retained forward field of every source, with the chain rule through both
 medium-dependent coefficients (the contrast q = 1 - n and the logarithmic
 gradient p = grad(n)/n).  The misfit gradient is J^H W r.  A forward state
 takes its misfit against the data in use at call time, so a noise sweep
-hands each level's last state to the next level, which starts there.
+hands each level's last state to the next level, which starts there.  The
+loop stops at the constants ``FTOL`` and ``GTOL``.
 
 Admissibility (Re n >= b, Im n >= 0, support in B(pi)) is not enforced
 during optimization, only checked on the returned iterate.
@@ -60,10 +61,10 @@ class ContrastMedium:
         if self.values is None:
             self.values = 1.0 + inverse_fourier(self.coeffs, self.grid)
 
-    def admissible(self, b: float, tol: float = 1e-8):
+    def admissible(self, b: float):
         """(Re n >= b, Im n >= 0) flags for the post-optimization check."""
-        return (bool(np.min(self.values.real) >= b - tol),
-                bool(np.min(self.values.imag) >= -tol))
+        return (bool(np.min(self.values.real) >= b - ADMISSIBLE_TOL),
+                bool(np.min(self.values.imag) >= -ADMISSIBLE_TOL))
 
 
 @dataclass
@@ -78,7 +79,6 @@ class InverseProblem:
     m: float
     gamma_max: float
     b: float = 0.5
-    rtol: float = 1e-8
 
     def __post_init__(self):
         data_type = {"near": NearFieldData, "far": FarFieldData}.get(self.kind)
@@ -157,8 +157,7 @@ class _ForwardState:
 
     def __init__(self, problem: InverseProblem, medium):
         self.problem = problem
-        self.solver = ScatteringSolver(medium, problem.kappa,
-                                       rtol=problem.rtol)
+        self.solver = ScatteringSolver(medium, problem.kappa)
         data = problem.data
         if problem.kind == "near":
             self.columns = DataColumns.dipoles(data.sources, problem.kappa)
@@ -329,8 +328,10 @@ class ReconstructionResult:
 
 
 # relative decrease, predicted by the Gauss-Newton model, that counts as
-# converged; f is only as accurate as the forward solves (GMRES rtol 1e-8)
+# converged; f is only as accurate as the forward solves (GMRES_RTOL 1e-8)
 FTOL = 1e-10
+GTOL = 1e-6  # largest entry of the real gradient that counts as converged
+ADMISSIBLE_TOL = 1e-8  # rounding allowed by the admissibility flags
 
 
 def _gauss_newton(fun, x0, jac, callback, maxiter, gtol, damping, **_):
@@ -387,8 +388,8 @@ def _gauss_newton(fun, x0, jac, callback, maxiter, gtol, damping, **_):
 
 
 def tikhonov_reconstruct(problem: InverseProblem, alpha: float,
-                         init_coeffs=None, maxiter: int = 60,
-                         gtol: float = 1e-6) -> ReconstructionResult:
+                         init_coeffs=None,
+                         maxiter: int = 60) -> ReconstructionResult:
     """Minimize (1/alpha) * misfit^2 + (1/2) * ||n - 1||_{H^m}^2.
 
     Damped Gauss-Newton (:func:`_gauss_newton`) on the complex masked
@@ -406,10 +407,10 @@ def tikhonov_reconstruct(problem: InverseProblem, alpha: float,
     A :class:`SolveError` is re-raised naming the Gauss-Newton iteration
     (the number of steps accepted before it) and keeps the failed solve's
     ``context``."""
-    return _reconstruct(problem, alpha, init_coeffs, None, maxiter, gtol)[0]
+    return _reconstruct(problem, alpha, init_coeffs, None, maxiter)[0]
 
 
-def _reconstruct(problem, alpha, init_coeffs, start, maxiter, gtol=1e-6):
+def _reconstruct(problem, alpha, init_coeffs, start, maxiter):
     """:func:`tikhonov_reconstruct` and the state of its result, starting
     from ``start``, if given: a :class:`_ForwardState` at ``init_coeffs``
     on the same geometry, grid and mask, used as the first iterate's."""
@@ -447,7 +448,7 @@ def _reconstruct(problem, alpha, init_coeffs, start, maxiter, gtol=1e-6):
         # plain call once the package reports its telemetry (ROADMAP item 1)
         out = minimize(evaluate, c0, jac=derivatives, method=_gauss_newton,
                        callback=history.append,
-                       options={"maxiter": maxiter, "gtol": gtol,
+                       options={"maxiter": maxiter, "gtol": GTOL,
                                 "damping": weights})
     except SolveError as err:
         raise SolveError(
@@ -477,6 +478,24 @@ class RateStudy:
     floor: float | None = None  # error at near-exact anchor levels, if any
 
 
+def check_levels(deltas, seeds) -> np.ndarray:
+    """Mask of the rate fit's deltas (>= 1e-10); ValueError unless the
+    deltas of a rate study are positive, strictly decreasing, one per seed
+    and at least two in the fit."""
+    deltas = np.asarray(deltas, dtype=float)
+    if np.any(deltas <= 0) or np.any(np.diff(deltas) >= 0):
+        raise ValueError("deltas must be positive and strictly decreasing")
+    if len(seeds) != len(deltas):
+        raise ValueError(f"{len(deltas)} deltas but {len(seeds)} seeds")
+    # near-exact anchor levels report the discretization floor and stay
+    # out of the rate fit, which needs two levels
+    fit = deltas >= 1e-10
+    if fit.sum() < 2:
+        raise ValueError("the rate fit needs at least two deltas >= 1e-10, "
+                         f"got {int(fit.sum())}")
+    return fit
+
+
 def rate_study(n_true: RefractiveIndex, problem: InverseProblem,
                deltas, seeds, A: float, nu: float,
                maxiter: int = 60) -> RateStudy:
@@ -486,20 +505,10 @@ def rate_study(n_true: RefractiveIndex, problem: InverseProblem,
     its own entry of ``seeds``, gets its own noise realization,
     regularization parameter, and reconstruction.  Each level starts at the
     previous level's result and takes over its forward state (fields or
-    Jacobian, and model data), so the start costs no solve.  The rate fit
-    takes the deltas >= 1e-10, of which there must be two."""
+    Jacobian, and model data), so the start costs no solve.  The levels
+    obey :func:`check_levels`; the rate fit takes the deltas >= 1e-10."""
     deltas, seeds = list(deltas), list(seeds)
-    if not all(b < a for a, b in zip(deltas, deltas[1:])):
-        raise ValueError("delta list must be strictly decreasing")
-    if len(seeds) != len(deltas):
-        raise ValueError(f"{len(deltas)} deltas but {len(seeds)} seeds")
-    # near-exact anchor levels report the discretization floor and stay
-    # out of the rate fit, which needs two levels
-    darr = np.asarray(deltas, dtype=float)
-    fit = darr >= 1e-10
-    if fit.sum() < 2:
-        raise ValueError("the rate fit needs at least two deltas >= 1e-10, "
-                         f"got {int(fit.sum())}")
+    fit = check_levels(deltas, seeds)
     clean = problem.data
     init = state = None
     alphas, errors, misfits, iters = [], [], [], []
@@ -516,7 +525,7 @@ def rate_study(n_true: RefractiveIndex, problem: InverseProblem,
         iters.append(rec.iterations)
     floor = float(min(e for e, keep in zip(errors, fit) if not keep)) \
         if not fit.all() else None
-    x = np.log(np.log(3.0 + darr[fit] ** -2))
+    x = np.log(np.log(3.0 + np.asarray(deltas, dtype=float)[fit] ** -2))
     y = np.log(np.asarray(errors)[fit])
     nu_hat = float(-np.polyfit(x, y, 1)[0])
     viol = sum(1 for (a, b, keep) in zip(errors, errors[1:], fit[1:])

@@ -94,29 +94,25 @@ def reconstruct_far(coeffs: FarCoeffs, xhats, ds) -> np.ndarray:
     return np.einsum("abij,bx,ad->xdij", coeffs.alpha, yx, yd, optimize=True)
 
 
-def near_from_far(coeffs: FarCoeffs, kappa: float, x, y, L: int | None = None):
+def near_from_far(coeffs: FarCoeffs, kappa: float, x, y):
     """Scattered Green's tensor w^s(x, y) summed from far-field coefficients.
 
     Valid for |x| >= |y| > pi.  Returns ``(matrix, last_shell)`` where
     ``last_shell`` is the Frobenius magnitude of the degree-L shell, a
     truncation indicator.
     """
-    if L is None:
-        L = coeffs.L
-    if L > coeffs.L:
-        raise ValueError("requested degree exceeds stored coefficients")
+    L = coeffs.L
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rx, ry = np.linalg.norm(x), np.linalg.norm(y)
     if rx < ry:
         raise ValueError("series requires |x| >= |y|")
-    n = (L + 1) ** 2
     ls = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
     hy = sph_hankel1(ls, kappa * ry)
     hx = sph_hankel1(ls, kappa * rx)
     u1 = (1j ** (-ls)) * hy * harmonic_table(L, y / ry)  # source factor
     u2 = (1j ** ls) * hx * harmonic_table(L, x / rx)  # receiver factor
-    a = coeffs.alpha[:n, :n]
+    a = coeffs.alpha
     terms = (-1j * kappa**3 / (4.0 * np.pi)) * u1[:, None, None, None] \
         * u2[None, :, None, None] * a
     mat = np.sum(terms, axis=(0, 1))

@@ -29,6 +29,10 @@ from .fourier import (
 )
 from .spherical import psi_near
 
+IDENTITY_TOL = 1e-12  # relative slack of the schedule identities
+TANGENTIAL_TOL = 1e-8  # relative normal part of a boundary_operator_N density
+GROWTH_RHOS = (2.0, 4.0, 8.0, 16.0)  # lattice-ball radii of the growth fit
+
 
 @dataclass(frozen=True)
 class ScheduleParams:
@@ -50,13 +54,14 @@ class ScheduleParams:
             raise ValueError("no t0 recorded")
         return self.t >= self.t0
 
-    def check_identities(self, tol: float = 1e-12):
+    def check_identities(self):
         """Raise ValueError naming the schedule identity that fails."""
         lhs = np.log(3.0 + self.delta**-2)
-        if not abs(9.0 * self.R * self.t - lhs) <= tol * max(1.0, lhs):
+        tol = IDENTITY_TOL * max(1.0, lhs)
+        if not abs(9.0 * self.R * self.t - lhs) <= tol:
             raise ValueError("schedule identity 9Rt = ln(3+delta^-2) fails")
         if not abs(self.rho ** (1.0 + self.tau + self.s - self.m) - lhs) \
-                <= tol * max(1.0, lhs):
+                <= tol:
             raise ValueError("schedule identity "
                              "rho^(1+tau+s-m) = ln(3+delta^-2) fails")
 
@@ -100,16 +105,15 @@ def pairing_volume(n1: RefractiveIndex, n2: RefractiveIndex,
     return complex(np.sum((n1.values - n2.values) * dot) * n1.grid.spacing**3)
 
 
-def boundary_operator_N(w: NearFieldData, a: np.ndarray,
-                        tol: float = 1e-8) -> np.ndarray:
+def boundary_operator_N(w: NearFieldData, a: np.ndarray) -> np.ndarray:
     """Data-to-tangential-field operator (N a)(x) = 2 nu(x) x int w(x,y) a(y) dS.
 
     ``a`` holds a tangential density at the source nodes, shape (n_src, 3)."""
     src = w.sources
     rec = w.receivers
     nu_src = src.nodes  # unit outward normals on the sphere
-    if np.max(np.abs(np.einsum("nj,nj->n", nu_src, a))) > tol * max(
-            1.0, float(np.max(np.abs(a)))):
+    normal = np.max(np.abs(np.einsum("nj,nj->n", nu_src, a)))
+    if normal > TANGENTIAL_TOL * max(1.0, float(np.max(np.abs(a)))):
         raise ValueError("density is not tangential")
     weights = src.weights * src.radius**2  # surface measure
     integral = np.einsum("xyij,yj,y->xi", w.matrices, a, weights,
@@ -143,13 +147,12 @@ def lowfreq_weighted_sum(n: RefractiveIndex, rho: float, m: float) -> float:
                         * np.abs(n.coeffs[mask])))
 
 
-def lowfreq_growth_exponent(n: RefractiveIndex, m: float,
-                            rhos=(2.0, 4.0, 8.0, 16.0)) -> float:
+def lowfreq_growth_exponent(n: RefractiveIndex, m: float) -> float:
     """Fitted exponent of the rho-growth of the weighted low-frequency sum."""
-    sums = [lowfreq_weighted_sum(n, r, m) for r in rhos]
+    sums = [lowfreq_weighted_sum(n, r, m) for r in GROWTH_RHOS]
     if min(sums) <= 0:
         return 0.0
-    slope = np.polyfit(np.log(rhos), np.log(sums), 1)[0]
+    slope = np.polyfit(np.log(GROWTH_RHOS), np.log(sums), 1)[0]
     return float(slope)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from emiscat import cgo
 from emiscat.cgo import (
     CgoError,
     FaddeevOperator,
@@ -309,6 +310,17 @@ class TestCgoSolve:
         sol = cgo_solve(n, zeta, eta, R_CGO, m_grid=16)
         assert sol.iterations == len(sol.contraction) + 1
         assert sum(volumes) == 44 + 12 * sol.iterations
+
+    @pytest.mark.parametrize("sweeps", [1, 3])
+    def test_nonconvergence_carries_contraction(self, monkeypatch, sweeps):
+        # too few sweeps to reach the tolerance: the error carries one
+        # contraction ratio per sweep after the first
+        monkeypatch.setattr(cgo, "NEUMANN_SWEEPS", sweeps)
+        zeta, eta = axis_aligned_zeta(12.0)
+        with pytest.raises(CgoError, match="did not converge") as err:
+            cgo_solve(bump_medium(n_grid=16), zeta, eta, R_CGO, m_grid=16)
+        assert len(err.value.contraction) == sweeps - 1
+        assert all(0 < r < 1 for r in err.value.contraction)
 
     def test_bad_inputs(self):
         n = bump_medium(n_grid=16)

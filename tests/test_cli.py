@@ -167,6 +167,7 @@ MEDIUM_KEYS = {
 
 BAD_CONFIGS = {
     "unknown-key": ("[physics]\nkapa = 2.0\n", "[physics] kapa"),
+    "negative-kappa": ("[physics]\nkappa = -1\n", "[physics] kappa"),
     "unknown-section": ("[phyzics]\nkappa = 2.0\n", "[phyzics] kappa"),
     "malformed-value": ("[grids]\nn = sixteen\n", "[grids] n"),
     "list-lengths": (BUMP.replace("amplitudes = 0.2", "amplitudes = 0.2,0.1"),
@@ -219,6 +220,12 @@ BAD_RUNS = {
                                 "[noise] deltas"),
     "zero-rates-delta": ("rates", BASE + BAND + "[noise]\ndeltas = 0.1, 0\n",
                          "[noise] deltas"),
+    "rates-deltas-below-fit": ("rates", BASE + BAND
+                               + "[noise]\ndeltas = 1e-11, 1e-12\n",
+                               "[noise] deltas"),
+    "inadmissible-vsc-member": ("vsc-check", BASE + BUMP
+                                + "[vsc]\namplitude = -5\n",
+                                "[vsc] amplitude"),
     "invert-zero-delta": ("invert", BASE + BAND + "[noise]\ndeltas = 0\n",
                           "[noise] deltas"),
 }

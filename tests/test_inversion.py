@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from emiscat import forward
 from emiscat.forward import (
     FarFieldData,
     NearFieldData,
@@ -77,10 +78,12 @@ def frechet_apply(problem, medium, h_coeffs):
     dp = (w - s.p * v[..., None]) / s.n.values[..., None]
     d_rows = []
     for u, label in zip(state.fields, state.columns.labels):
-        du = s._krylov(s._matvec, s.potential(u, dq, dp).ravel(),
+        du = s._krylov(s._matvec, s._conv.potential(u, dq, dp).ravel(),
                        context=label).reshape(u.shape)
         # measurement perturbation: medium term plus field term
-        d_rows.append(state.map.apply(*s.densities(u, dq, dp))
+        ub = u[s.ball]
+        d_rows.append(state.map.apply(dq[s.ball][:, None] * ub,
+                                      np.sum(dp[s.ball] * ub, axis=-1))
                       + state._measure_rows(du))
     return state.columns.assemble(d_rows)
 
@@ -245,9 +248,9 @@ class TestFrechet:
         out = frechet_apply(prob, med, np.zeros((12, 12, 12), dtype=complex))
         assert np.max(np.abs(out)) == 0.0
 
-    def test_linearity(self):
+    def test_linearity(self, monkeypatch):
         prob = small_problem(12)
-        prob.rtol = 1e-13
+        monkeypatch.setattr(forward, "GMRES_RTOL", 1e-13)
         med = band_limited_index(prob.grid, 2.0, 0.05, seed=1)
         h1 = random_direction(prob.grid, 2.0, 10)
         h2 = random_direction(prob.grid, 2.0, 11)
@@ -331,13 +334,14 @@ class TestMisfitGradient:
         prob, c0 = self._setup("far")
         self._check_directions(prob, c0, seeds=range(30, 33))
 
-    def test_adjoint_nonconvergence_context(self):
+    def test_adjoint_nonconvergence_context(self, monkeypatch):
         # one GMRES iteration cannot reach the tolerance: the failure names
         # the (receiver, component) row label and keeps its residual history
         prob = small_problem(8)
         med = band_limited_index(prob.grid, 2.0, 0.05, seed=1)
         state = _ForwardState(prob, med)
-        state.solver.restart = state.solver.maxiter = 1
+        monkeypatch.setattr(forward, "GMRES_RESTART", 1)
+        monkeypatch.setattr(forward, "GMRES_MAXITER", 1)
         with pytest.raises(SolveError) as err:
             misfit_gradient(state)
         assert err.value.context == (0, 0)
@@ -610,13 +614,13 @@ class TestTikhonov:
         assert (out.nfev, out.njev) == (3, 2)
         assert len(res.history) == res.iterations + 1
 
-    def test_solve_failure_names_iteration(self):
+    def test_solve_failure_names_iteration(self, monkeypatch):
         # an unreachable tolerance fails the first forward solve at the
         # start point; the error names the iteration and keeps the label
         prob = small_problem(8)
         truth = band_limited_index(prob.grid, 2.0, 0.05, seed=6)
         prob = small_problem(8, data=exact_data(prob, truth))
-        prob.rtol = 1e-30
+        monkeypatch.setattr(forward, "GMRES_RTOL", 1e-30)
         with pytest.raises(SolveError) as err:
             tikhonov_reconstruct(prob, alpha=1e-4, maxiter=2)
         assert "Gauss-Newton iteration 0" in str(err.value)
@@ -634,7 +638,8 @@ class TestTikhonov:
                 super().__init__(*args)
                 built.append(self)
                 if len(built) == 2:
-                    self.solver.restart = self.solver.maxiter = 1
+                    monkeypatch.setattr(forward, "GMRES_RESTART", 1)
+                    monkeypatch.setattr(forward, "GMRES_MAXITER", 1)
 
         prob = small_problem(8)
         truth = band_limited_index(prob.grid, 2.0, 0.06, seed=8)
