@@ -23,7 +23,7 @@ for delta in (1e-2, 1e-4, 1e-8):
 grid = CubeGrid(np.pi, 16)
 base = make_test_index(
     BumpProfile(centers=[(0.3, -0.2, 0.1)], amplitudes=[0.2], widths=[1.5]),
-    grid, b=0.7, smoothness=SobolevParams(M, S))
+    grid, b=0.7)
 
 print("\n== High-frequency tail inequality (exact by construction) ==")
 for rho in (2.0, 4.0, 8.0):
@@ -41,13 +41,12 @@ for _ in range(4):
         centers=((0.3, -0.2, 0.1), tuple(rng.uniform(-0.5, 0.5, 3))),
         amplitudes=(0.2, 0.02 * rng.uniform(0.5, 1.0)),
         widths=(1.5, rng.uniform(1.0, 1.6)))
-    member = make_test_index(prof, grid, b=0.7,
-                             smoothness=SobolevParams(M, S))
+    member = make_test_index(prof, grid, b=0.7)
     family.append(member)
     misfits.append(data_diff_norm(
         near_field_operator(member, KAPPA, sphere), w_base))
 nu = SobolevParams(M, S).nu
-report = vsc_check(base, family, misfits, M, nu, beta=0.5, family_id="demo")
+report = vsc_check(base, family, misfits, M, nu, beta=0.5)
 print(f"fitted A = {report.A:.4e}, nu = {nu:.3f}, "
       f"violations = {report.violations()}")
 for s in report.samples:

@@ -17,7 +17,6 @@ from .fourier import (
     hm_norm,
     inverse_fourier,
     make_test_index,
-    project_low,
 )
 
 from .forward import (
@@ -105,7 +104,6 @@ __all__ = [
     "make_test_index",
     "near_field_operator",
     "near_from_far",
-    "project_low",
     "q_bound",
     "rate_study",
     "read_data",

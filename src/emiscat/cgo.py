@@ -12,8 +12,8 @@ G_zeta is diagonal only for Im(zeta) along e_z.  Every other direction is
 reached by a rotation rot, for a CGO pair ``CgoVectors.rotation``:
 ``cgo_solve`` takes zeta and eta in the medium's frame and solves with
 rot @ zeta and rot @ eta, sampling the medium in the rotated frame,
-n(rot^T x), directly at the CGO-cube points through
-``RefractiveIndex.contrast_at``.
+n(rot^T x), directly at the CGO-cube points through the closed form of
+its bump profile.
 
 The factor e^{i zeta.x} itself is never evaluated: at the relevant t it
 overflows by thousands of orders of magnitude.  All stored fields are the
@@ -95,6 +95,8 @@ class CgoVectors:
 def cgo_vectors(gamma, t: float, kappa: float) -> CgoVectors:
     """Construct the CGO vector pair of the Fourier-difference bound."""
     gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (3,):
+        raise ValueError("gamma needs three components")
     g = np.linalg.norm(gamma)
     if g == 0:
         raise ValueError("gamma = 0 is excluded (eta is undefined)")
@@ -142,7 +144,9 @@ class MediumFields:
     the coefficients of the potential matrix Q.
 
     ``rotation`` rot (orthogonal; the identity when None) maps the
-    medium's frame to the CGO frame, so the cube holds n'(x) = n(rot^T x).
+    medium's frame to the CGO frame, so the cube holds n'(x) = n(rot^T x),
+    evaluated from the medium's bump profile; a sampled medium without one
+    is refused.
     ``grad`` is grad(n), shape (3, m, m, m), and ``jac_p[i, j]`` is
     d_j p_i with p = grad(n)/n, shape (3, 3, m, m, m).
     """
@@ -151,8 +155,9 @@ class MediumFields:
                  kappa: float, rotation=None):
         if R <= np.pi:
             raise ValueError("require R > pi")
-        self.R = float(R)
-        self.kappa = float(kappa)
+        profile = getattr(n, "profile", None)  # iterates carry none
+        if profile is None:
+            raise ValueError("CGO solutions need a bump-profile medium")
         self.grid = CubeGrid(2.0 * R, m_grid)
         points = self.grid.points()
         if rotation is not None:
@@ -160,11 +165,10 @@ class MediumFields:
             if np.max(np.abs(rot @ rot.T - np.eye(3))) > 1e-10:
                 raise ValueError("rotation must be orthogonal")
             points = points @ rot  # rows rot^T x
-        vals = 1.0 + n.contrast_at(points)
+        vals = 1.0 + profile.contrast(points)
         if np.min(vals.real) < n.b - 1e-8:
             raise ValueError("resampled Re(n) dips below b")
         self.values = vals
-        self.b = n.b
         freqs = np.stack(self.grid.frequencies())
         ifreqs = 1j * freqs
         chat = scipy.fft.fftn(vals - 1.0)
@@ -182,9 +186,9 @@ class MediumFields:
         # Q's coefficients: kappa^2 (1 - n) on the diagonal, plus
         # n^{-1/2} Delta n^{1/2} on the top block, and the cross-product
         # coupling w = i kappa n^{-1/2} grad(n)
-        self.k2q = self.kappa**2 * (1.0 - vals)
+        self.k2q = kappa**2 * (1.0 - vals)
         self.k2q_helm = self.k2q + self.inv_sqrt_n * self.lap_sqrt
-        self.w = 1j * self.kappa * self.inv_sqrt_n * self.grad
+        self.w = 1j * kappa * self.inv_sqrt_n * self.grad
 
     def q_apply(self, A, B):
         """Action of the 6x6 potential matrix Q on a field pair (A, B) of
@@ -315,8 +319,8 @@ def _ball_l2(values, ball, spacing: float) -> float:
     return float(np.sqrt(np.sum(np.abs(values[..., ball]) ** 2) * spacing**3))
 
 
-def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, m_grid: int = 64,
-              kappa: float | None = None, rotation=None) -> CgoSolution:
+def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, kappa: float,
+              m_grid: int, rotation=None) -> CgoSolution:
     """Solve the conjugated CGO system and assemble the remainder parts.
 
     ``zeta`` and ``eta`` are given in the medium's frame and must satisfy
@@ -332,8 +336,6 @@ def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, m_grid: int = 64,
     if rotation is not None:
         rot = np.asarray(rotation, dtype=float)
         zeta, eta = rot @ zeta, rot @ eta
-    if kappa is None:
-        kappa = float(np.sqrt(np.real(zeta @ zeta)))
     zn = np.linalg.norm(zeta)  # rounding scales with |zeta| ~ t
     if abs(zeta @ zeta - kappa**2) > 1e-8 * max(1.0, kappa**2, zn**2):
         raise CgoError("zeta.zeta != kappa^2")

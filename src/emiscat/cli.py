@@ -146,6 +146,8 @@ class ExperimentConfig:
                 ("[grids] l", self.L is None or self.L >= 0, "L >= 0"),
                 ("[noise] deltas", min(self.deltas, default=0) >= 0,
                  "deltas >= 0"),
+                ("[noise] seeds", min(self.seeds, default=0) >= 0,
+                 "seeds >= 0"),
                 ("[inversion] gamma_max", self.inv_gamma_max <= self.n // 2,
                  "gamma_max <= n/2, the Nyquist frequency of [grids] n"),
                 ("[inversion] a", self.inv_A > 0, "A > 0"),
@@ -247,8 +249,7 @@ def build_medium(cfg: ExperimentConfig, seed: int):
     if cfg.profile == "bandlimited":
         return band_limited_index(cfg.grid, cfg.band_gamma_max,
                                   cfg.band_amplitude, seed=seed)
-    return _guard("[medium]", make_test_index, cfg.bump, cfg.grid, cfg.b,
-                  cfg.smoothness)
+    return _guard("[medium]", make_test_index, cfg.bump, cfg.grid, cfg.b)
 
 
 def _require_bump_profile(cfg: ExperimentConfig, kind: str):
@@ -354,13 +355,13 @@ def run_vsc_check(cfg, base, ws: Workspace):
             amplitudes=base.profile.amplitudes + (amp,),
             widths=base.profile.widths + (width,))
         family.append(_guard("[vsc] amplitude", make_test_index, prof,
-                             base.grid, cfg.b, cfg.smoothness))
+                             base.grid, cfg.b))
     w_base = near_field_operator(base, cfg.kappa, cfg.sphere)
     misfits = [data_diff_norm(near_field_operator(member, cfg.kappa,
                                                   cfg.sphere), w_base)
                for member in family]
     report = vsc_check(base, family, misfits, cfg.m, cfg.nu,
-                       beta=cfg.vsc_beta, family_id="cli")
+                       beta=cfg.vsc_beta)
     ws.write("vsc_samples.csv", _write_csv,
              ["member", "lhs", "quad_term", "misfit_sq",
               "cauchy_schwarz_branch", "margin"],
@@ -464,6 +465,8 @@ def run(kind: str, config_path, out_dir=None, seed: int = 0,
     _kind(kind)
     if threads < 1:
         raise ConfigError("threads must be at least 1")
+    if seed < 0:
+        raise ConfigError(f"--seed {seed}: the seed must be nonnegative")
     cfg = load_config(config_path)
     if cfg.kind is not None and cfg.kind != kind:
         raise ConfigError(f"config declares kind {cfg.kind!r} but the "

@@ -103,11 +103,6 @@ class DipoleSource:
         out += along[..., None] * rhat
         return (1j / self.kappa) * out
 
-    def magnetic(self, points):
-        # H = curl(a Phi) = grad(Phi) x a, grad(Phi) = Phi' rhat
-        _, rhat, _, dp, _ = _radial_derivatives(points, self.y, self.kappa)
-        return np.cross(dp[..., None] * rhat, self.a)
-
 
 class PlaneWave:
     """Plane wave in direction ``d`` with polarization ``p`` (projected
@@ -125,10 +120,6 @@ class PlaneWave:
     def electric(self, points):
         phase = np.exp(1j * self.kappa * np.asarray(points) @ self.d)
         return phase[..., None] * self.q
-
-    def magnetic(self, points):
-        phase = np.exp(1j * self.kappa * np.asarray(points) @ self.d)
-        return phase[..., None] * np.cross(self.d, self.q)
 
 
 def truncated_kernel_symbol(xi_norm, kappa, radius):

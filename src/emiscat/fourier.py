@@ -116,14 +116,6 @@ def hm_inner(c1: np.ndarray, c2: np.ndarray, m: float, grid: CubeGrid) -> comple
     return complex(np.sum(w * c1 * np.conj(c2)))
 
 
-def project_low(coeffs: np.ndarray, rho: float, grid: CubeGrid) -> np.ndarray:
-    """Zero out all coefficients with |gamma| > rho (idempotent)."""
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    mask = grid.gamma_norm2() <= rho**2
-    return np.where(mask, coeffs, 0.0)
-
-
 def embedding_constant(m: float, cutoff: int = 60) -> float:
     """Certified upper bound for the Sobolev-to-C^2 embedding constant.
 
@@ -221,8 +213,8 @@ class BumpProfile:
         return out
 
 
-def make_test_index(profile: BumpProfile, grid: CubeGrid, b: float,
-                    smoothness: SobolevParams | None = None) -> "RefractiveIndex":
+def make_test_index(profile: BumpProfile, grid: CubeGrid,
+                    b: float) -> "RefractiveIndex":
     """Synthesize an admissible refractive index n = 1 + sum of bumps.
 
     Raises :class:`ProfileError` when a bump support leaves B(pi) or the
@@ -239,8 +231,7 @@ def make_test_index(profile: BumpProfile, grid: CubeGrid, b: float,
     values = 1.0 + profile.contrast(grid.points())
     if np.min(values.imag) < -1e-12:
         raise ProfileError("Im(n) must be nonnegative")
-    return RefractiveIndex(grid=grid, values=values, b=b,
-                           smoothness=smoothness, profile=profile)
+    return RefractiveIndex(grid=grid, values=values, b=b, profile=profile)
 
 
 @dataclass
@@ -248,14 +239,12 @@ class RefractiveIndex:
     """Complex refractive index on C(pi): grid samples plus coefficients.
 
     ``coeffs`` are the unitary Fourier coefficients of the contrast n - 1.
-    ``c_s`` records the H^s norm of the contrast when smoothness metadata
-    is present.
+    ``profile`` is the closed form of a bump medium, None for a sampled one.
     """
 
     grid: CubeGrid
     values: np.ndarray
     b: float
-    smoothness: SobolevParams | None = None
     profile: BumpProfile | None = None
     coeffs: np.ndarray = field(default=None, repr=False)
 
@@ -272,33 +261,3 @@ class RefractiveIndex:
             raise ValueError("n must equal 1 outside B(pi)")
         if self.coeffs is None:
             self.coeffs = fourier_coeffs(self.values - 1.0, self.grid)
-
-    @property
-    def c_s(self) -> float:
-        if self.smoothness is None:
-            raise ValueError("no smoothness metadata recorded")
-        return hm_norm(self.coeffs, self.smoothness.s, self.grid)
-
-    def contrast_at(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate n - 1 at arbitrary points, shape (..., 3) -> (...).
-
-        Profile media use the closed form.  Otherwise the trigonometric
-        interpolant of the samples is summed inside the cube (chunked,
-        O(P * N^3) flops) and the contrast is 0 outside it.
-        """
-        if self.profile is not None:
-            return self.profile.contrast(points)
-        flat = points.reshape(-1, 3)
-        inside = np.flatnonzero(np.all(np.abs(flat) < self.grid.half_side,
-                                       axis=-1))
-        g = np.fft.fftfreq(self.grid.n, d=1.0 / self.grid.n) \
-            * (np.pi / self.grid.half_side)
-        out = np.zeros(flat.shape[0], dtype=complex)
-        for lo in range(0, inside.size, 512):
-            idx = inside[lo:lo + 512]
-            e1, e2, e3 = (np.exp(1j * np.outer(flat[idx, c], g))
-                          for c in range(3))
-            tmp = np.einsum("ijk,pk->pij", self.coeffs, e3, optimize=True)
-            tmp = np.einsum("pij,pj->pi", tmp, e2, optimize=True)
-            out[idx] = np.einsum("pi,pi->p", tmp, e1, optimize=True)
-        return (out / UNITARY_FACTOR).reshape(points.shape[:-1])

@@ -97,14 +97,13 @@ class InverseProblem:
 
 
 def band_limited_index(grid: CubeGrid, gamma_max: float, amplitude: float,
-                       seed: int, imag_shift: float = 0.0) -> ContrastMedium:
+                       seed: int) -> ContrastMedium:
     """Random real band-limited contrast, exactly representable by the
     truncated coefficient vector.
 
     Rate studies need a truth without a truncation floor: compactly
     supported mollifier media put nearly all of their H^m norm outside
-    any desk-scale coefficient ball.  Scaled so max |n - 1| = amplitude;
-    ``imag_shift`` adds a constant nonnegative imaginary part."""
+    any desk-scale coefficient ball.  Scaled so max |n - 1| = amplitude."""
     rng = np.random.default_rng(seed)
     g2 = grid.gamma_norm2()
     mask = g2 <= gamma_max**2
@@ -116,10 +115,6 @@ def band_limited_index(grid: CubeGrid, gamma_max: float, amplitude: float,
     field *= amplitude / np.max(np.abs(field))
     coeffs = fourier_coeffs(field.astype(complex), grid)
     coeffs[~mask] = 0.0
-    if imag_shift:
-        if imag_shift < 0:
-            raise ValueError("imag_shift must be nonnegative")
-        coeffs[0, 0, 0] += 1j * imag_shift * UNITARY_FACTOR
     return ContrastMedium(grid=grid, coeffs=coeffs)
 
 

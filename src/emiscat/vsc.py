@@ -297,7 +297,6 @@ class VscSample:
 
 @dataclass
 class VscReport:
-    family: str
     beta: float
     nu: float
     A: float
@@ -308,8 +307,7 @@ class VscReport:
 
 
 def vsc_check(n_dagger: RefractiveIndex, family, misfits, m: float,
-              nu: float, beta: float = 0.5, family_id: str = "",
-              ) -> VscReport:
+              nu: float, beta: float = 0.5) -> VscReport:
     """Fit the VSC constant A over a medium family and verify zero violations.
 
     ``family`` are media around ``n_dagger``; ``misfits`` the matching data
@@ -345,4 +343,4 @@ def vsc_check(n_dagger: RefractiveIndex, family, misfits, m: float,
             s.margin = s.quad_term - s.lhs
         else:
             s.margin = s.quad_term + psi_near(s.misfit_sq, A, nu) - s.lhs
-    return VscReport(family=family_id, beta=beta, nu=nu, A=A, samples=samples)
+    return VscReport(beta=beta, nu=nu, A=A, samples=samples)

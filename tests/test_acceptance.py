@@ -310,8 +310,7 @@ def test_10_source_condition_fit_zero_violations():
     family.append(far_member)
     misfits.append(data_diff_norm(
         near_field_operator(far_member, KAPPA, sphere), w_base))
-    report = vsc_check(base, family, misfits, m=4.0, nu=0.5, beta=0.5,
-                       family_id="acceptance")
+    report = vsc_check(base, family, misfits, m=4.0, nu=0.5, beta=0.5)
     branches = [s.cauchy_schwarz_branch for s in report.samples]
     ok = (np.isfinite(report.A) and report.violations() == 0
           and branches[-1] and not any(branches[:-1]))

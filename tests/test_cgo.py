@@ -15,6 +15,7 @@ from emiscat.cgo import (
     t_min,
 )
 from emiscat.fourier import BumpProfile, CubeGrid, RefractiveIndex, make_test_index
+from emiscat.inversion import ContrastMedium
 
 KAPPA = 1.0
 R_CGO = 1.2 * np.pi
@@ -142,15 +143,15 @@ class TestRotation:
         expected = 1.0 + rotated.contrast(med.grid.points())
         assert np.max(np.abs(med.values - expected)) < 1e-12
 
-    def test_generic_matches_profile(self):
-        # a genuine rotation, not a permutation of the axes
-        n = bump_medium(n_grid=16, width=1.8)
-        plain = RefractiveIndex(grid=n.grid, values=n.values, b=n.b)
+    def test_sampled_medium_rejected(self):
+        # the cube samples the closed form; a medium known by its samples
+        # or its coefficients has none
+        n = bump_medium(n_grid=16)
         rot = cgo_vectors(np.array([1.0, -1.0, 1.0]), 15.0, KAPPA).rotation
-        a = MediumFields(n, R_CGO, 32, KAPPA, rot)
-        b = MediumFields(plain, R_CGO, 32, KAPPA, rot)
-        # generic path uses trigonometric interpolation: aliasing-level match
-        assert np.max(np.abs(a.values - b.values)) < 1e-2
+        for sampled in (RefractiveIndex(grid=n.grid, values=n.values, b=n.b),
+                        ContrastMedium(grid=n.grid, coeffs=n.coeffs)):
+            with pytest.raises(ValueError, match="bump-profile"):
+                MediumFields(sampled, R_CGO, 32, KAPPA, rot)
 
     def test_non_orthogonal(self):
         n = bump_medium(n_grid=16)
@@ -229,13 +230,6 @@ class TestFaddeev:
 
 
 class TestMediumFields:
-    def test_resample_paths_agree(self):
-        n = bump_medium(n_grid=24, width=1.8)
-        plain = RefractiveIndex(grid=n.grid, values=n.values, b=n.b)
-        a = MediumFields(n, R_CGO, 16, KAPPA)
-        b = MediumFields(plain, R_CGO, 16, KAPPA)
-        assert np.max(np.abs(a.values - b.values)) < 1e-2
-
     def test_vacuum_outside_support(self):
         med = MediumFields(bump_medium(n_grid=16), R_CGO, 24, KAPPA)
         outside = med.grid.radii() > np.pi + 0.3
@@ -267,9 +261,9 @@ class TestMediumFields:
 class TestCgoSolve:
     def test_vacuum(self):
         grid = CubeGrid(np.pi, 16)
-        vac = RefractiveIndex(grid=grid, values=np.ones((16,) * 3), b=0.9)
+        vac = make_test_index(BumpProfile(), grid, b=0.9)
         zeta, eta = axis_aligned_zeta(12.0)
-        sol = cgo_solve(vac, zeta, eta, R_CGO, m_grid=16)
+        sol = cgo_solve(vac, zeta, eta, R_CGO, KAPPA, 16)
         assert sol.remainder_norm() < 1e-12
         assert sol.residual < 1e-10
         assert np.max(np.abs(sol.u - eta)) < 1e-12
@@ -279,7 +273,7 @@ class TestCgoSolve:
         sols = []
         for t in (25.0, 50.0):
             zeta, eta = axis_aligned_zeta(t)
-            sols.append(cgo_solve(n, zeta, eta, R_CGO, m_grid=32))
+            sols.append(cgo_solve(n, zeta, eta, R_CGO, KAPPA, 32))
         for sol in sols:
             assert sol.residual < 1e-3
             assert all(r < 0.9 for r in sol.contraction[-3:])
@@ -290,7 +284,7 @@ class TestCgoSolve:
     def test_rotated_frame(self):
         n = bump_medium()
         v = cgo_vectors(np.array([1.0, 1.0, 0.0]), 25.0, KAPPA)
-        sol = cgo_solve(n, v.zeta1, v.eta1, R_CGO, m_grid=32,
+        sol = cgo_solve(n, v.zeta1, v.eta1, R_CGO, KAPPA, 32,
                         rotation=v.rotation)
         assert sol.residual < 1e-3
 
@@ -307,7 +301,7 @@ class TestCgoSolve:
 
             monkeypatch.setattr(scipy.fft, name, counted)
         zeta, eta = axis_aligned_zeta(12.0)
-        sol = cgo_solve(n, zeta, eta, R_CGO, m_grid=16)
+        sol = cgo_solve(n, zeta, eta, R_CGO, KAPPA, 16)
         assert sol.iterations == len(sol.contraction) + 1
         assert sum(volumes) == 44 + 12 * sol.iterations
 
@@ -318,7 +312,7 @@ class TestCgoSolve:
         monkeypatch.setattr(cgo, "NEUMANN_SWEEPS", sweeps)
         zeta, eta = axis_aligned_zeta(12.0)
         with pytest.raises(CgoError, match="did not converge") as err:
-            cgo_solve(bump_medium(n_grid=16), zeta, eta, R_CGO, m_grid=16)
+            cgo_solve(bump_medium(n_grid=16), zeta, eta, R_CGO, KAPPA, 16)
         assert len(err.value.contraction) == sweeps - 1
         assert all(0 < r < 1 for r in err.value.contraction)
 
@@ -326,11 +320,10 @@ class TestCgoSolve:
         n = bump_medium(n_grid=16)
         zeta, eta = axis_aligned_zeta(10.0)
         with pytest.raises(CgoError):
-            cgo_solve(n, zeta, np.array([1.0, 0, 0]), R_CGO, m_grid=16,
-                      kappa=KAPPA)
+            cgo_solve(n, zeta, np.array([1.0, 0, 0]), R_CGO, KAPPA, 16)
         with pytest.raises(CgoError):
-            cgo_solve(n, np.array([3.0, 0, 1j * 10.0]), eta, R_CGO,
-                      m_grid=16, kappa=KAPPA)
+            cgo_solve(n, np.array([3.0, 0, 1j * 10.0]), eta, R_CGO, KAPPA,
+                      16)
 
     @pytest.mark.parametrize("gamma, t", [((1.0, -1.0, 1.0), 1e4),
                                           ((1.0, 0.0, 0.0), 2.5e5)])
@@ -342,14 +335,13 @@ class TestCgoSolve:
         rot = v.rotation
         zeta, eta = rot @ v.zeta1, rot @ v.eta1
         assert abs(zeta @ zeta - KAPPA**2) > 1e-8
-        cgo_solve(n, v.zeta1, v.eta1, R_CGO, m_grid=16, kappa=KAPPA,
-                  rotation=rot)
+        cgo_solve(n, v.zeta1, v.eta1, R_CGO, KAPPA, 16, rotation=rot)
         wrong = zeta + np.array([1e-6 * t, 0.0, 0.0])
         with pytest.raises(CgoError, match="zeta.zeta"):
-            cgo_solve(n, wrong, eta, R_CGO, m_grid=16, kappa=KAPPA)
+            cgo_solve(n, wrong, eta, R_CGO, KAPPA, 16)
         with pytest.raises(CgoError, match="zeta.eta"):
-            cgo_solve(n, zeta, eta + 1e-6 * np.conj(zeta), R_CGO,
-                      m_grid=16, kappa=KAPPA)
+            cgo_solve(n, zeta, eta + 1e-6 * np.conj(zeta), R_CGO, KAPPA,
+                      16)
 
 
 class TestProductExpansion:

@@ -183,6 +183,7 @@ BAD_CONFIGS = {
     "negative-degree": ("[grids]\nl = -1\n", "[grids] l"),
     "empty-family": ("[vsc]\nmembers = 0\n", "[vsc] members"),
     "negative-delta": ("[noise]\ndeltas = -0.1\n", "[noise] deltas"),
+    "negative-seed": ("[noise]\nseeds = -1, 5\n", "[noise] seeds"),
     "odd-cgo-grid": ("[cgo]\nm_grid = 7\n", "[cgo] m_grid"),
     "band-beyond-nyquist": ("[grids]\nn = 8\n[inversion]\ngamma_max = 9\n",
                             "[inversion] gamma_max"),
@@ -202,7 +203,8 @@ gamma_max = 2.0
 maxiter = 2
 """
 
-# (kind, config, key): checks a kind makes of its own, before any solve
+# (command, config, key): checks a run makes of its own, before any
+# solve; the command is the kind and any flags
 BAD_RUNS = {
     "out-of-ball-bump": ("forward", BASE + BUMP.replace("0.3,-0.2,0.1",
                                                         "2.5,0,0"),
@@ -210,6 +212,8 @@ BAD_RUNS = {
     "cgo-without-gamma-t": ("cgo", BASE + BUMP, "[cgo] gamma and t"),
     "cgo-gamma-zero": ("cgo", BASE + BUMP + "[cgo]\ngamma = 0,0,0\nt = 25\n",
                        "[cgo] gamma, t"),
+    "cgo-gamma-short": ("cgo", BASE + BUMP + "[cgo]\ngamma = 1, 0\nt = 25\n",
+                        "[cgo] gamma, t: gamma needs three components"),
     "bandlimited-vsc-check": ("vsc-check", BASE + BAND,
                               "[medium] profile = 'bandlimited'"),
     "too-few-seeds": ("rates", BASE + BAND
@@ -228,6 +232,9 @@ BAD_RUNS = {
                                 "[vsc] amplitude"),
     "invert-zero-delta": ("invert", BASE + BAND + "[noise]\ndeltas = 0\n",
                           "[noise] deltas"),
+    "negative-seed-vsc-check": ("vsc-check --seed -1", BASE + BUMP, "--seed"),
+    "negative-seed-rates": ("rates --seed -1", BASE + BAND
+                            + "[noise]\ndeltas = 0.1, 0.01\n", "--seed"),
 }
 
 
@@ -271,9 +278,9 @@ class TestConfigKeys:
             assert cfg.grid == CubeGrid(np.pi, 12)
             assert cfg.sphere.radius == 4.5 and cfg.sphere.nodes.shape == (15, 3)
 
-    @pytest.mark.parametrize("kind, text, key", BAD_RUNS.values(),
+    @pytest.mark.parametrize("command, text, key", BAD_RUNS.values(),
                              ids=list(BAD_RUNS))
-    def test_bad_run_names_key(self, tmp_path, capsys, monkeypatch, kind,
+    def test_bad_run_names_key(self, tmp_path, capsys, monkeypatch, command,
                                text, key):
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the checks")
@@ -283,7 +290,8 @@ class TestConfigKeys:
             monkeypatch.setattr(cli, name, no_solve)
         cfg = write_config(tmp_path / "c.ini", text)
         out = tmp_path / "o"
-        assert main([kind, "--config", cfg, "--out", str(out)]) == 2
+        assert main([*command.split(), "--config", cfg, "--out",
+                     str(out)]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
 

@@ -14,7 +14,6 @@ from emiscat.fourier import (
     hm_norm,
     inverse_fourier,
     make_test_index,
-    project_low,
 )
 
 
@@ -85,34 +84,6 @@ class TestHmNorm:
         c = fourier_coeffs(random_smooth_bump(grid).astype(complex), grid)
         norms = [hm_norm(c, m, grid) for m in (0.0, 1.0, 2.5, 4.0)]
         assert norms == sorted(norms)
-
-
-class TestProjectLow:
-    def test_rho_zero(self, grid):
-        c = np.ones((grid.n,) * 3, dtype=complex)
-        p = project_low(c, 0.0, grid)
-        assert p[0, 0, 0] == 1.0
-        assert np.count_nonzero(p) == 1
-
-    def test_rho_one(self, grid):
-        c = np.ones((grid.n,) * 3, dtype=complex)
-        assert np.count_nonzero(project_low(c, 1.0, grid)) == 7
-
-    def test_rho_between(self, grid):
-        # lattice enumeration: |gamma|^2 <= 3.24 keeps 1 + 6 + 12 + 8 = 27 points
-        c = np.ones((grid.n,) * 3, dtype=complex)
-        g2 = grid.gamma_norm2()
-        assert int(np.sum(g2 <= 1.8**2)) == 27
-        assert np.count_nonzero(project_low(c, 1.8, grid)) == 27
-
-    @given(rho=st.floats(min_value=0.0, max_value=10.0))
-    @settings(max_examples=25, deadline=None)
-    def test_idempotent(self, rho):
-        grid = CubeGrid(np.pi, 16)
-        rng = np.random.default_rng(7)
-        c = rng.standard_normal((16, 16, 16)) + 1j * rng.standard_normal((16, 16, 16))
-        once = project_low(c, rho, grid)
-        assert np.array_equal(project_low(once, rho, grid), once)
 
 
 class TestEmbeddingConstant:

@@ -374,7 +374,7 @@ class TestVscCheck:
 
     def test_family_fit(self):
         base, fam, misfits = self.family()
-        rep = vsc_check(base, fam, misfits, m=4.0, nu=0.4, family_id="amps")
+        rep = vsc_check(base, fam, misfits, m=4.0, nu=0.4)
         assert np.isfinite(rep.A) and rep.A >= 0.0
         assert rep.violations() == 0
         assert all(np.isfinite(s.margin) for s in rep.samples)
