@@ -155,6 +155,7 @@ class ExperimentConfig:
                  self.inv_nu is None or 0 < self.inv_nu < 1, "0 < nu < 1"),
                 ("[inversion] alpha",
                  self.inv_alpha is None or self.inv_alpha > 0, "alpha > 0"),
+                ("[inversion] maxiter", self.inv_maxiter >= 1, "maxiter >= 1"),
                 ("[vsc] members", self.vsc_members >= 1, "members >= 1")):
             if not holds:
                 raise ConfigError(f"guard violated by {keys}: requires {rule}")

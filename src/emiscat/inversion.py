@@ -5,16 +5,17 @@ n - 1 (frequencies |gamma| <= gamma_max).  The data misfit uses the same
 surface-measure norms as the data containers; the penalty is the H^m norm
 of the contrast.  The functional is minimized by one damped Gauss-Newton
 loop on the complex masked coefficients, with the complex Jacobian J of
-the data; it is dispatched through ``scipy.optimize.minimize`` only so that
-the benchmark's tracer can read its iteration count.  J comes from the
-adjoint method: the data are linear in the measurement, so
-one adjoint Lippmann-Schwinger solve per receiver row (x, c) pairs with the
-retained forward field of every source, with the chain rule through both
-medium-dependent coefficients (the contrast q = 1 - n and the logarithmic
-gradient p = grad(n)/n).  The misfit gradient is J^H W r.  A forward state
-takes its misfit against the data in use at call time, so a noise sweep
-hands each level's last state to the next level, which starts there.  The
-loop stops at the constants ``FTOL`` and ``GTOL``.
+the data.  That loop is the package's own :func:`minimize`, no scipy
+optimizer; the benchmark's tracer wraps it by that name to read its
+iteration count.  J comes from the adjoint method: the data are linear in
+the measurement, so one adjoint Lippmann-Schwinger solve per receiver row
+(x, c) pairs with the retained forward field of every source, with the
+chain rule through both medium-dependent coefficients (the contrast
+q = 1 - n and the logarithmic gradient p = grad(n)/n).  The misfit gradient
+is J^H W r.  A forward state takes its misfit against the data in use at
+call time, so a noise sweep hands each level's last state to the next
+level, which starts there.  The loop stops at the constants ``FTOL`` and
+``GTOL``.
 
 Admissibility (Re n >= b, Im n >= 0, support in B(pi)) is not enforced
 during optimization, only checked on the returned iterate.
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import OptimizeResult, minimize
 
 from .forward import (
     DataColumns,
@@ -329,9 +329,24 @@ GTOL = 1e-6  # largest entry of the real gradient that counts as converged
 ADMISSIBLE_TOL = 1e-8  # rounding allowed by the admissibility flags
 
 
-def _gauss_newton(fun, x0, jac, callback, maxiter, gtol, damping, **_):
-    """Damped Gauss-Newton loop on complex unknowns c, as a
-    ``scipy.optimize.minimize`` method.
+@dataclass
+class GaussNewtonResult:
+    """What :func:`minimize` returns: the last accepted iterate ``x``, its
+    functional ``fun`` and point record ``point``, the counts of accepted
+    steps, functional evaluations and ``jac`` calls, and why it stopped."""
+
+    x: np.ndarray
+    fun: float
+    point: object
+    nit: int
+    nfev: int
+    njev: int
+    success: bool
+    message: str
+
+
+def minimize(fun, x0, jac, callback, maxiter, gtol, damping):
+    """Damped Gauss-Newton loop on complex unknowns c.
 
     ``fun(c)`` returns the real functional f and a point record;
     ``jac(c, point)`` returns g = df/d(conj c) and the Hermitian model
@@ -351,19 +366,19 @@ def _gauss_newton(fun, x0, jac, callback, maxiter, gtol, damping, **_):
     callback(f)
     d = 0.5 * np.diag(damping)
     nfev, njev, nit, mu = 1, 0, 0, 0.0
-    status, message = 1, "maximum number of iterations reached"
+    success, message = False, "maximum number of iterations reached"
     while nit < maxiter:
         g, a = jac(c, point)
         njev += 1
         if 2.0 * np.max(np.abs([g.real, g.imag])) <= gtol:
-            status, message = 0, "gradient below gtol"
+            success, message = True, "gradient below gtol"
             break
         while True:
             step = scipy.linalg.solve(a + mu * d, -g, assume_a="pos")
             predicted = -2.0 * np.vdot(g, step).real \
                 - np.vdot(step, a @ step).real
             if predicted <= FTOL * max(abs(f), 1.0):
-                status, message = 0, "predicted decrease below FTOL"
+                success, message = True, "predicted decrease below FTOL"
                 break
             f_new, trial = fun(c + step)
             nfev += 1
@@ -371,15 +386,14 @@ def _gauss_newton(fun, x0, jac, callback, maxiter, gtol, damping, **_):
                 break
             trial = None
             mu = 10.0 * mu if mu else 1.0
-        if status == 0:
+        if success:
             break
         c, f, point = c + step, f_new, trial
         nit += 1
         mu /= 10.0
         callback(f)
-    return OptimizeResult(x=c, fun=f, point=point, nit=nit, nfev=nfev,
-                          njev=njev, status=status, success=status == 0,
-                          message=message)
+    return GaussNewtonResult(x=c, fun=f, point=point, nit=nit, nfev=nfev,
+                             njev=njev, success=success, message=message)
 
 
 def tikhonov_reconstruct(problem: InverseProblem, alpha: float,
@@ -387,7 +401,7 @@ def tikhonov_reconstruct(problem: InverseProblem, alpha: float,
                          maxiter: int = 60) -> ReconstructionResult:
     """Minimize (1/alpha) * misfit^2 + (1/2) * ||n - 1||_{H^m}^2.
 
-    Damped Gauss-Newton (:func:`_gauss_newton`) on the complex masked
+    Damped Gauss-Newton (:func:`minimize`) on the complex masked
     coefficients c: gradient g = J^H W r / alpha + (1/2) w c, model Hessian
     a = J^H W J / alpha + (1/2) diag(w) with the complex data Jacobian J and
     the H^m weights w, damping (mu/2) diag(w).  The data are holomorphic in
@@ -396,8 +410,8 @@ def tikhonov_reconstruct(problem: InverseProblem, alpha: float,
     trial iterate costs one forward solve per source; an accepted one a
     Jacobian, i.e. one adjoint solve per receiver row (3 n_rec near, 3 n_x
     far).  One iterate's fields are alive at a time.  ``history`` holds the
-    functional at accepted iterates, which never increases.  The loop goes
-    through ``scipy.optimize.minimize`` only for the benchmark's tracer.
+    functional at accepted iterates, which never increases.  The loop is
+    the package's own; the benchmark's tracer wraps it as ``minimize``.
 
     A :class:`SolveError` is re-raised naming the Gauss-Newton iteration
     (the number of steps accepted before it) and keeps the failed solve's
@@ -439,12 +453,10 @@ def _reconstruct(problem, alpha, init_coeffs, start, maxiter):
         else np.asarray(init_coeffs, dtype=complex)[mask]
     history = []
     try:
-        # kept only because bench/spans.py reads .nit off this call; a
-        # plain call once the package reports its telemetry (ROADMAP item 1)
-        out = minimize(evaluate, c0, jac=derivatives, method=_gauss_newton,
-                       callback=history.append,
-                       options={"maxiter": maxiter, "gtol": GTOL,
-                                "damping": weights})
+        # looked up by name at call time: the benchmark's tracer replaces
+        # ``minimize`` in this module to read the iteration count off .nit
+        out = minimize(evaluate, c0, jac=derivatives, callback=history.append,
+                       maxiter=maxiter, gtol=GTOL, damping=weights)
     except SolveError as err:
         raise SolveError(
             f"Gauss-Newton iteration {max(len(history) - 1, 0)}: {err}",

@@ -14,11 +14,13 @@ phase (scipy's); h_l^(1) = j_l + i y_l.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import sph_harm_y, spherical_jn, spherical_yn
 
-from .forward import FarFieldData
+if TYPE_CHECKING:  # annotations only: emiscat.forward loads scipy.sparse
+    from .forward import FarFieldData
 
 
 def harmonic_table(L, directions):

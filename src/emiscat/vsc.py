@@ -15,11 +15,11 @@ Exponentially large factors (e^{3Rt}) are carried in the log domain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .cgo import cgo_solve, cgo_vectors
-from .forward import NearFieldData
 from .fourier import (
     UNITARY_FACTOR,
     RefractiveIndex,
@@ -28,6 +28,9 @@ from .fourier import (
     hm_norm,
 )
 from .spherical import psi_near
+
+if TYPE_CHECKING:  # annotations only: emiscat.forward loads scipy.sparse
+    from .forward import NearFieldData
 
 IDENTITY_TOL = 1e-12  # relative slack of the schedule identities
 TANGENTIAL_TOL = 1e-8  # relative normal part of a boundary_operator_N density

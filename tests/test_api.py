@@ -1,11 +1,17 @@
 """Package-level checks with the standard library only: every public name
-resolves, no module keeps a top-level import that it never uses or an
-``assert`` statement (``python -O`` strips them), FFTs go through the two
-scipy.fft transforms that the benchmark's tracer wraps, and every package
-name the tracer's metrics read still exists."""
+resolves, lazily, from its home module, an import loads only the modules
+its entry point runs, no module keeps a top-level import that it never
+uses or an ``assert`` statement (``python -O`` strips them), FFTs go
+through the two scipy.fft transforms that the benchmark's tracer wraps,
+and every package name the tracer's metrics read still exists."""
 
 import ast
+import fnmatch
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,12 +26,73 @@ def test_all_names_resolve():
     assert missing == []
 
 
+def test_lazy_exports():
+    assert sorted(emiscat._HOME) == sorted(emiscat.__all__)
+    for name in emiscat.__all__:
+        home = importlib.import_module(f"emiscat.{emiscat._HOME[name]}")
+        assert getattr(emiscat, name) is getattr(home, name), name
+    assert set(emiscat.__all__) <= set(dir(emiscat))
+    namespace = {}
+    exec("from emiscat import *", namespace)
+    assert [n for n in emiscat.__all__ if n not in namespace] == []
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        emiscat.no_such_name
+
+
+def fresh_modules(statement: str) -> list:
+    """``sys.modules`` of a fresh interpreter after ``statement``."""
+    path = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = (f"{statement}\nimport json, sys\n"
+            "print(json.dumps(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def below(*names) -> tuple:
+    """Patterns for each module name and everything inside it."""
+    return tuple(p for n in names for p in (n, f"{n}.*"))
+
+
+# (statement, patterns of the modules it must not load)
+IMPORT_GRAPH = {
+    "package": ("import emiscat", ("emiscat.*",) + below("scipy")),
+    "cgo-vsc": ("import emiscat.cgo, emiscat.vsc",
+                below("scipy.sparse", "scipy.optimize", "emiscat.forward",
+                      "emiscat.inversion")),
+    "cli": ("import emiscat.cli", below("scipy.optimize")),
+}
+
+
+@pytest.mark.parametrize("statement, forbidden", IMPORT_GRAPH.values(),
+                         ids=list(IMPORT_GRAPH))
+def test_import_graph(statement, forbidden):
+    leaked = [m for m in fresh_modules(statement)
+              if any(fnmatch.fnmatchcase(m, p) for p in forbidden)]
+    assert not leaked, f"{statement!r} loaded {', '.join(leaked)}"
+
+
+def test_submodule_after_bare_import():
+    modules = fresh_modules("import emiscat\nemiscat.forward.SphereGrid")
+    assert "emiscat.forward" in modules
+
+
 def unused_imports(source: str) -> list:
-    """Names bound by the module's top-level imports that no expression
-    reads and ``__all__`` does not export."""
+    """Names bound by the module's top-level imports, including those
+    under ``if TYPE_CHECKING:``, that no expression reads and ``__all__``
+    does not export."""
     tree = ast.parse(source)
     bound = []
+    nodes = []
     for node in tree.body:
+        if isinstance(node, ast.If) \
+                and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+            nodes += node.body
+        else:
+            nodes.append(node)
+    for node in nodes:
         if isinstance(node, ast.Import):
             bound += [a.asname or a.name.split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
@@ -44,6 +111,9 @@ def test_unused_import_detection():
               "import numpy as np\nfrom .a import b, c\n__all__ = ['c']\n"
               "x = np.zeros(1)\n")
     assert unused_imports(source) == ["os", "b"]
+    guarded = ("from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n"
+               "    from .a import d, e\ndef f(x: d): ...\n")
+    assert unused_imports(guarded) == ["e"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),

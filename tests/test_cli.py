@@ -190,6 +190,7 @@ BAD_CONFIGS = {
     "negative-alpha": ("[inversion]\nalpha = -1\n", "[inversion] alpha"),
     "zero-a": ("[inversion]\na = 0\n", "[inversion] a"),
     "nu-above-one": ("[inversion]\nnu = 1.5\n", "[inversion] nu"),
+    "zero-maxiter": ("[inversion]\nmaxiter = 0\n", "[inversion] maxiter"),
 }
 
 BAND = """

@@ -24,10 +24,10 @@ from emiscat.inversion import (
     RateStudy,
     _CoeffTranspose,
     _ForwardState,
-    _gauss_newton,
     add_noise,
     alpha_rule,
     band_limited_index,
+    minimize,
     misfit_gradient,
     rate_study,
     tikhonov_reconstruct,
@@ -482,8 +482,8 @@ class TestGaussNewtonLoop:
     def test_one_step_reaches_quadratic_minimizer(self):
         fun, jac, w, c0, c_star = self.quadratic()
         history = []
-        out = _gauss_newton(fun, c0, jac=jac, callback=history.append,
-                            maxiter=10, gtol=0.0, damping=w)
+        out = minimize(fun, c0, jac=jac, callback=history.append,
+                       maxiter=10, gtol=0.0, damping=w)
         assert np.linalg.norm(out.x - c_star) \
             <= 1e-12 * np.linalg.norm(c_star)
         assert (out.nit, out.nfev, out.njev) == (1, 2, 2)
@@ -495,8 +495,8 @@ class TestGaussNewtonLoop:
         fun, jac, w, c0, _ = self.quadratic()
         g = jac(c0, None)[0]
         top = np.max(np.abs([g.real, g.imag]))
-        outs = [_gauss_newton(fun, c0, jac=jac, callback=lambda f: None,
-                              maxiter=10, gtol=factor * top, damping=w)
+        outs = [minimize(fun, c0, jac=jac, callback=lambda f: None,
+                         maxiter=10, gtol=factor * top, damping=w)
                 for factor in (1.5, 2.5)]
         assert [(o.nit, o.message) for o in outs] == \
             [(1, "gradient below gtol"), (0, "gradient below gtol")]
@@ -524,8 +524,8 @@ class TestGaussNewtonLoop:
         assert fun(c0 + undamped)[0] > fun(c0)[0]
         trials.clear()
         history = []
-        out = _gauss_newton(fun, c0, jac=jac, callback=history.append,
-                            maxiter=50, gtol=1e-10, damping=w)
+        out = minimize(fun, c0, jac=jac, callback=history.append,
+                       maxiter=50, gtol=1e-10, damping=w)
         damped = np.linalg.solve(a + 0.5 * np.diag(w), -g)
         assert np.allclose(trials[1], c0 + undamped, rtol=1e-12, atol=0)
         assert np.allclose(trials[2], c0 + damped, rtol=1e-12, atol=0)
