@@ -22,9 +22,14 @@ adjoint: the adjoint potential, and the field off the box
 (:meth:`ScatteringSolver.grid_field`), run on the whole grid's (2N)^3
 lattice.  Fields, GMRES vectors and densities live on the box nodes, with
 the medium's own (q, p).  The transforms run in place on work buffers each
-solver allocates once, so a solver serves one caller at a time.  GMRES runs
-at the module constants ``GMRES_RTOL``, ``GMRES_RESTART`` and
-``GMRES_MAXITER``.
+solver allocates once, so a solver serves one caller at a time.
+
+Every solve, forward or adjoint, runs the module's own restarted GMRES,
+step for step scipy's, at the module constants ``GMRES_RTOL``,
+``GMRES_RESTART`` and ``GMRES_MAXITER``: each restart cycle ends with a
+matvec at its iterate, and the solve succeeds once that true residual is at
+most ``GMRES_RTOL`` times ||b||.  So the module needs neither scipy.sparse
+nor scipy.linalg.
 
 Near- and far-field data operators assemble the 3x3 matrix responses to
 dipole and plane-wave excitations on measurement spheres.  Both, and the
@@ -38,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .fourier import BumpProfile, CubeGrid, RefractiveIndex, inverse_fourier
 
@@ -46,10 +50,12 @@ from .fourier import BumpProfile, CubeGrid, RefractiveIndex, inverse_fourier
 class SolveError(RuntimeError):
     """Krylov iteration failed to reach the requested residual.
 
-    ``residuals`` is the residual history; ``context`` labels the failed
-    solve, if it has a label: the (column, slot) of its source in a data
-    set for forward and linearized solves, the (receiver, component) row
-    for the adjoint solves of the inversion's Jacobian."""
+    The message names the matvecs made and the relative true residual
+    reached.  ``residuals`` holds the Arnoldi estimates of the relative
+    residual, one per GMRES step; ``context`` labels the failed solve, if
+    it has a label: the (column, slot) of its source in a data set for
+    forward and linearized solves, the (receiver, component) row for the
+    adjoint solves of the inversion's Jacobian."""
 
     def __init__(self, message, residuals=None, context=None):
         super().__init__(message)
@@ -162,8 +168,120 @@ def truncated_kernel_symbol(xi_norm, kappa, radius):
 
 # nodes kept on each side of a bump medium's support in its solver's box
 BOX_MARGIN = 3
-# GMRES relative residual, restart length and matvec limit of every solve
+# GMRES relative residual, restart length and Arnoldi-step limit of every
+# solve: at most GMRES_MAXITER // GMRES_RESTART restart cycles
 GMRES_RTOL, GMRES_RESTART, GMRES_MAXITER = 1e-8, 50, 2000
+
+
+def _givens(f, g):
+    """Rotation (c real, s) and r with c f + s g = r, -conj(s) f + c g = 0,
+    by LAPACK's zlartg formulas for entries whose squares neither overflow
+    nor underflow (|f|, |g| within 1e-154..1e154), which the Hessenberg
+    entries of an operator of moderate norm are."""
+    if g == 0:
+        return 1.0, 0.0, f
+    if f == 0:
+        return 0.0, np.conj(g) / abs(g), abs(g)
+    f2 = f.real**2 + f.imag**2
+    h2 = f2 + g.real**2 + g.imag**2
+    c = np.sqrt(f2 / h2)
+    d = np.sqrt(f2 * h2)
+    # complex over real part by part, as Fortran divides
+    return (c, np.conj(g) * complex(f.real / d, f.imag / d),
+            complex(f.real / c, f.imag / c))
+
+
+def _gmres(matvec, b, x0=None, context=None):
+    """Restarted GMRES (Saad & Schultz 1986) for matvec(x) = b, step for
+    step as scipy.sparse.linalg.gmres without a preconditioner: MGS Arnoldi
+    and Givens rotations, at most GMRES_MAXITER // GMRES_RESTART cycles of
+    GMRES_RESTART steps.  A cycle stops once its Arnoldi estimate of the
+    residual is at ptol, which starts at GMRES_RTOL ||b|| and is retuned
+    from each cycle's outcome, and ends with a matvec at its iterate.  The
+    true residual of that matvec decides success: ||b - matvec(x)|| <=
+    GMRES_RTOL ||b||.  So the last call to ``matvec`` is at the returned x,
+    also for b = 0, whose one matvec is at x = 0.
+
+    On failure raises :class:`SolveError` naming the matvecs made and the
+    relative true residual reached, with the Arnoldi estimates relative to
+    ||b||, one per step, and ``context``."""
+    bnorm = np.linalg.norm(b)
+    atol = GMRES_RTOL * bnorm
+    x = np.zeros(b.size, dtype=complex)
+    if x0 is not None and bnorm:
+        x[:] = x0
+    residuals, matvecs = [], 0
+    if x.any() or not bnorm:
+        r = b - matvec(x)
+        rnorm, matvecs = np.linalg.norm(r), 1
+    else:
+        r, rnorm = b.copy(), bnorm
+    eps = np.finfo(float).eps
+    restart = min(GMRES_RESTART, b.size)
+    h = np.zeros((restart + 1, restart), dtype=complex)
+    ptol, ptol_factor = atol, 1.0
+    cycles = GMRES_MAXITER // GMRES_RESTART
+    while rnorm > atol and cycles:
+        cycles -= 1
+        r *= 1 / rnorm
+        v = [r]  # the Krylov basis, grown by one vector per step
+        s = np.zeros(restart + 1, dtype=complex)
+        s[0] = rnorm
+        rotations, breakdown = [], False
+        for col in range(restart):
+            w = matvec(v[col])
+            matvecs += 1
+            h0 = np.linalg.norm(w)
+            for k in range(col + 1):
+                h[k, col] = np.vdot(v[k], w)
+                w -= h[k, col] * v[k]
+            h1 = np.linalg.norm(w)
+            h[col + 1, col] = h1
+            v.append(w)
+            if h1 <= eps * h0:  # the Krylov space holds the solution
+                h[col + 1, col] = 0
+                breakdown = True
+            else:
+                w *= 1 / h1
+            for k, (c, sk) in enumerate(rotations):
+                top, low = h[k, col], h[k + 1, col]
+                h[k:k + 2, col] = (c * top + sk * low,
+                                   -np.conj(sk) * top + c * low)
+            c, sk, h[col, col] = _givens(h[col, col], h[col + 1, col])
+            rotations.append((c, sk))
+            h[col + 1, col] = 0
+            s[col:col + 2] = c * s[col], -np.conj(sk) * s[col]
+            presid = abs(s[col + 1])
+            residuals.append(presid / bnorm)
+            if presid <= ptol or breakdown:
+                break
+        # back substitution on the triangle; a zero last pivot drops its row
+        if h[col, col] == 0:
+            s[col] = 0
+        y = s[:col + 1].copy()
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[:k, k]
+        if y[0] != 0:
+            y[0] /= h[0, 0]
+        x += y @ np.array(v[:col + 1])
+        del v  # not held through the true-residual matvec
+        r = b - matvec(x)
+        rnorm = np.linalg.norm(r)
+        matvecs += 1
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:  # Arnoldi converged, the true residual did not
+            ptol_factor = max(eps, 0.25 * ptol_factor)
+        else:
+            ptol_factor = min(1.0, 1.5 * ptol_factor)
+        ptol = presid * min(ptol_factor, atol / rnorm)
+    if rnorm <= atol:
+        return x
+    raise SolveError(f"GMRES did not converge in {matvecs} matvecs (residual"
+                     f" {rnorm / bnorm:.1e} above tolerance)",
+                     residuals=residuals, context=context)
 
 
 def support_box(n) -> tuple:
@@ -434,50 +552,11 @@ class ScatteringSolver:
         e = flat.reshape(self.shape + (3,))
         return (e - self.potential(e)).ravel()
 
-    def _krylov(self, matvec, b, x0=None, context=None):
-        """GMRES for matvec(x) = b at the module's tolerance and iteration
-        limits; checks the true residual and raises :class:`SolveError`
-        with the residual history and ``context`` on failure.
-
-        GMRES ends every restart cycle with a matvec at its iterate, so the
-        true residual of the returned x comes from that call, and only a
-        return without one (b = 0) costs an explicit matvec.  Either way
-        the last call to ``matvec`` is at the returned x."""
-        last = None  # (input, ||matvec(input) - b||) of the latest call
-
-        def recorded(v):
-            nonlocal last
-            last = None  # hold no copy while the potential runs
-            av = matvec(v)
-            # the norm, not av: GMRES's Arnoldi step overwrites av
-            last = v.copy(), np.linalg.norm(av - b)
-            return av
-
-        op = LinearOperator((b.size, b.size), matvec=recorded, dtype=complex)
-        residuals = []
-        x, info = gmres(op, b, x0=x0, rtol=GMRES_RTOL, atol=0.0,
-                        restart=GMRES_RESTART,
-                        maxiter=GMRES_MAXITER // GMRES_RESTART,
-                        callback=residuals.append, callback_type="pr_norm")
-        if info != 0:
-            raise SolveError(f"GMRES did not converge (info={info})",
-                             residuals=residuals, context=context)
-        bnorm = np.linalg.norm(b)
-        if last is not None and np.array_equal(last[0], x):
-            resid = last[1]
-        else:
-            resid = np.linalg.norm(matvec(x) - b)
-        if resid > 10 * GMRES_RTOL * bnorm:
-            raise SolveError(f"residual {resid / bnorm:.2e} above tolerance",
-                             residuals=residuals, context=context)
-        return x
-
     def solve(self, source, context=None) -> np.ndarray:
         """Total electric field on the box nodes, (S1, S2, S3, 3), for the
         given incident-field source."""
         b = source.electric(self.pts).ravel()
-        x = self._krylov(self._matvec, b, b.copy(), context)
-        return x.reshape(self.shape + (3,))
+        return _gmres(self._matvec, b, b, context).reshape(self.shape + (3,))
 
     def grid_field(self, e, source) -> np.ndarray:
         """The total field on every grid node, (N, N, N, 3), from its box

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .forward import (
     DataColumns,
@@ -34,6 +33,7 @@ from .forward import (
     NearFieldData,
     ScatteringSolver,
     SolveError,
+    _gmres,
 )
 from .fourier import (
     UNITARY_FACTOR,
@@ -267,7 +267,7 @@ class _ForwardState:
             return (lam - np.conj(s.q)[..., None] * vec
                     - np.conj(s.p) * sca[..., None]).ravel()
 
-        lam = s._krylov(matvec, rho.ravel(), context=context)
+        lam = _gmres(matvec, rho.ravel(), context=context)
         return lam.reshape(rho.shape), last
 
 
@@ -374,7 +374,9 @@ def minimize(fun, x0, jac, callback, maxiter, gtol, damping):
             success, message = True, "gradient below gtol"
             break
         while True:
-            step = scipy.linalg.solve(a + mu * d, -g, assume_a="pos")
+            # a + mu d = L L^H; LinAlgError if it is not positive definite
+            low = np.linalg.cholesky(a + mu * d)
+            step = np.linalg.solve(low.conj().T, np.linalg.solve(low, -g))
             predicted = -2.0 * np.vdot(g, step).real \
                 - np.vdot(step, a @ step).real
             if predicted <= FTOL * max(abs(f), 1.0):

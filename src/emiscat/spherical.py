@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import sph_harm_y, spherical_jn, spherical_yn
 
-if TYPE_CHECKING:  # annotations only: emiscat.forward loads scipy.sparse
+if TYPE_CHECKING:  # annotations only: the CGO path never loads the solver
     from .forward import FarFieldData
 
 

@@ -29,7 +29,7 @@ from .fourier import (
 )
 from .spherical import psi_near
 
-if TYPE_CHECKING:  # annotations only: emiscat.forward loads scipy.sparse
+if TYPE_CHECKING:  # annotations only: the CGO path never loads the solver
     from .forward import NearFieldData
 
 IDENTITY_TOL = 1e-12  # relative slack of the schedule identities

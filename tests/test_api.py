@@ -62,7 +62,11 @@ IMPORT_GRAPH = {
     "cgo-vsc": ("import emiscat.cgo, emiscat.vsc",
                 below("scipy.sparse", "scipy.optimize", "emiscat.forward",
                       "emiscat.inversion")),
-    "cli": ("import emiscat.cli", below("scipy.optimize")),
+    "cli": ("import emiscat.cli",
+            below("scipy.sparse", "scipy.linalg", "scipy.optimize")),
+    "forward-inversion": ("import emiscat.forward, emiscat.inversion",
+                          below("scipy.sparse", "scipy.linalg",
+                                "scipy.optimize")),
 }
 
 

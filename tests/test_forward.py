@@ -446,66 +446,84 @@ class TestFarFieldOperator:
 
 
 class TestKrylov:
-    """``_krylov`` takes the true residual from GMRES's own last matvec."""
+    """The package's GMRES against scipy.sparse.linalg.gmres at the same
+    constants as the oracle: the same matvecs, the same solution, and the
+    last matvec at the returned x."""
 
     @staticmethod
-    def _solver():
-        grid = CubeGrid(np.pi, 8)
-        return ScatteringSolver(bump_medium(grid), KAPPA)
-
-    @staticmethod
-    def _dense_system(size=40, seed=0):
+    def _dense_system(size=40, seed=0, scale=0.1):
         rng = np.random.default_rng(seed)
-        a = np.eye(size) + 0.1 * _random(rng, (size, size)) / np.sqrt(size)
+        a = np.eye(size) + scale * _random(rng, (size, size)) / np.sqrt(size)
         return a, _random(rng, size)
 
     @staticmethod
-    def _counted(a):
-        calls = []
+    def _recorded(a):
+        inputs = []
 
         def matvec(v):
-            calls.append(1)
+            inputs.append(v.copy())
             return a @ v
-        return matvec, calls
+        return matvec, inputs
+
+    def _check_against_scipy(self, a, b, x0=None):
+        """Solve with both; returns the number of matvecs."""
+        matvec, inputs = self._recorded(a)
+        x = forward._gmres(matvec, b, x0)
+        oracle, oracle_inputs = self._recorded(a)
+        y, info = gmres(LinearOperator(a.shape, matvec=oracle, dtype=complex),
+                        b, x0=x0, rtol=forward.GMRES_RTOL, atol=0.0,
+                        restart=forward.GMRES_RESTART,
+                        maxiter=forward.GMRES_MAXITER // forward.GMRES_RESTART)
+        assert info == 0
+        assert len(inputs) == len(oracle_inputs)
+        assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+        assert np.array_equal(inputs[-1], x)
+        assert np.linalg.norm(a @ x - b) \
+            <= forward.GMRES_RTOL * np.linalg.norm(b)
+        return len(inputs)
 
     def test_no_matvec_beyond_gmres(self):
-        solver = self._solver()
-        a, b = self._dense_system()
-        matvec, calls = self._counted(a)
-        x = solver._krylov(matvec, b)
-        assert np.linalg.norm(a @ x - b) \
-            <= 10 * forward.GMRES_RTOL * np.linalg.norm(b)
-        own, own_calls = self._counted(a)
-        gmres(LinearOperator(a.shape, matvec=own, dtype=complex), b,
-              rtol=forward.GMRES_RTOL, atol=0.0, restart=forward.GMRES_RESTART,
-              maxiter=forward.GMRES_MAXITER // forward.GMRES_RESTART)
-        assert len(calls) == len(own_calls) > 0
+        for seed, scale in ((0, 0.1), (1, 1.0), (2, 2.0)):
+            a, b = self._dense_system(seed=seed, scale=scale)
+            assert self._check_against_scipy(a, b) > 2
+            assert self._check_against_scipy(a, b, x0=0.5 * b) > 2
+
+    def test_restarts_match_scipy(self, monkeypatch):
+        monkeypatch.setattr(forward, "GMRES_RESTART", 3)
+        a, b = self._dense_system(size=30, seed=3, scale=0.5)
+        # more matvecs than three cycles of 3 Arnoldi steps and a true
+        # residual each
+        assert self._check_against_scipy(a, b) > 3 * (3 + 1)
 
     def test_zero_rhs_explicit_matvec(self):
-        # GMRES returns b = 0 without a matvec; the check makes one
-        solver = self._solver()
+        # b = 0 returns x = 0, whatever x0, after one matvec there
         a, _ = self._dense_system()
-        matvec, calls = self._counted(a)
-        x = solver._krylov(matvec, np.zeros(a.shape[0], dtype=complex))
-        assert np.all(x == 0)
-        assert len(calls) == 1
+        rng = np.random.default_rng(4)
+        for x0 in (None, _random(rng, a.shape[0])):
+            matvec, inputs = self._recorded(a)
+            x = forward._gmres(matvec, np.zeros(a.shape[0], dtype=complex), x0)
+            assert np.all(x == 0)
+            assert len(inputs) == 1 and np.all(inputs[0] == 0)
 
     def test_wrong_solution_still_caught(self, monkeypatch):
-        # a GMRES that applies the operator to the exact solution but
-        # reports success for another x must not pass the true-residual check
+        # an operator that changes at the cycle's true-residual matvec: the
+        # Arnoldi estimate reports convergence, the true residual does not
         a, b = self._dense_system()
-        exact = np.linalg.solve(a, b)
+        oracle, inputs = self._recorded(a)
+        forward._gmres(oracle, b)
+        k = len(inputs) - 1  # Arnoldi steps of the unchanged operator
+        calls = []
 
-        def lying_gmres(op, b, x0=None, callback=None, **kwargs):
-            op.matvec(exact)
-            callback(0.5)
-            return exact + 1.0, 0
+        def changing(v):
+            calls.append(1)
+            return (a if len(calls) <= k else 2.0 * a) @ v
 
-        monkeypatch.setattr(forward, "gmres", lying_gmres)
-        solver = self._solver()
-        with pytest.raises(SolveError, match="above tolerance") as err:
-            solver._krylov(self._counted(a)[0], b, context=(2, 1))
-        assert err.value.residuals == [0.5]
+        monkeypatch.setattr(forward, "GMRES_MAXITER", forward.GMRES_RESTART)
+        with pytest.raises(SolveError, match=rf"in {k + 1} matvecs \(residual "
+                           r"\d\.\de[-+]\d+ above tolerance\)") as err:
+            forward._gmres(changing, b, context=(2, 1))
+        assert len(err.value.residuals) == k
+        assert err.value.residuals[-1] <= forward.GMRES_RTOL
         assert err.value.context == (2, 1)
 
     def test_matvecs_per_solve(self, monkeypatch):

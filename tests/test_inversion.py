@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from emiscat import forward
+from emiscat import forward, inversion
 from emiscat.forward import (
     FarFieldData,
     NearFieldData,
     SolveError,
     SphereGrid,
+    _gmres,
     near_field_operator,
 )
 from emiscat.fourier import (
@@ -78,8 +79,8 @@ def frechet_apply(problem, medium, h_coeffs):
     dp = (w - s.p * v[..., None]) / s.n.values[..., None]
     d_rows = []
     for u, label in zip(state.fields, state.columns.labels):
-        du = s._krylov(s._matvec, s._conv.potential(u, dq, dp).ravel(),
-                       context=label).reshape(u.shape)
+        du = _gmres(s._matvec, s._conv.potential(u, dq, dp).ravel(),
+                    context=label).reshape(u.shape)
         # measurement perturbation: medium term plus field term
         ub = u[s.ball]
         d_rows.append(state.map.apply(dq[s.ball][:, None] * ub,
@@ -353,35 +354,35 @@ class TestMisfitGradient:
         self._check_directions(prob, c0, seeds=(40,))
 
     @staticmethod
-    def _count_adjoint_work(state):
+    def _count_adjoint_work(state, monkeypatch):
         """Count the adjoint solves, their matvecs and ``potential_adjoint``
         calls on ``state``'s solver; forward solves are already done."""
         s = state.solver
         counts = {"solve": 0, "matvec": 0, "potential_adjoint": 0}
-        krylov, potential_adjoint = s._krylov, s.potential_adjoint
+        potential_adjoint = s.potential_adjoint
 
-        def counted_krylov(matvec, *args, **kwargs):
+        def counted_gmres(matvec, *args, **kwargs):
             counts["solve"] += 1
 
             def counted(v):
                 counts["matvec"] += 1
                 return matvec(v)
-            return krylov(counted, *args, **kwargs)
+            return _gmres(counted, *args, **kwargs)
 
         def counted_potential_adjoint(lam):
             counts["potential_adjoint"] += 1
             return potential_adjoint(lam)
 
-        s._krylov = counted_krylov
+        monkeypatch.setattr(inversion, "_gmres", counted_gmres)
         s.potential_adjoint = counted_potential_adjoint
         return counts
 
-    def test_adjoint_potential_reused(self):
+    def test_adjoint_potential_reused(self, monkeypatch):
         # the gradient takes potential_adjoint(lambda) from the adjoint
         # solve's last matvec: no recompute per column, same bits
         prob, c0 = self._setup("near")
         state = _ForwardState(prob, ContrastMedium(grid=prob.grid, coeffs=c0))
-        counts = self._count_adjoint_work(state)
+        counts = self._count_adjoint_work(state, monkeypatch)
         value, grad = misfit_gradient(state)
         assert counts["matvec"] > len(state.columns.sources)
         assert counts["potential_adjoint"] == counts["matvec"]
@@ -415,14 +416,14 @@ class TestMisfitGradient:
         fresh = state.solver.potential_adjoint(lam)
         assert all(np.array_equal(f, k) for f, k in zip(fresh, kept))
 
-    def test_exact_data_zero_gradient(self):
+    def test_exact_data_zero_gradient(self, monkeypatch):
         # r = 0 gives J^H W r = 0 exactly; the Jacobian costs one adjoint
         # solve per receiver row, whatever the residual
         prob = small_problem(12)
         truth = band_limited_index(prob.grid, 2.0, 0.05, seed=6)
         prob = small_problem(12, data=exact_data(prob, truth))
         state = _ForwardState(prob, truth)
-        counts = self._count_adjoint_work(state)
+        counts = self._count_adjoint_work(state, monkeypatch)
         value, grad = misfit_gradient(state)
         assert value == 0.0
         assert np.all(grad == 0)
@@ -532,6 +533,18 @@ class TestGaussNewtonLoop:
         assert out.success and out.nfev > out.nit + 1
         assert len(history) == out.nit + 1 and history[-1] == out.fun
         assert all(f1 <= f0 for f0, f1 in zip(history, history[1:]))
+
+    def test_indefinite_model_hessian_raises(self):
+        # the step is solved by a Cholesky factorization of a + mu d, so a
+        # model Hessian that is not positive definite fails loudly
+        fun, _, w, c0, _ = self.quadratic()
+
+        def jac(c, point):
+            return np.ones(4, dtype=complex), np.diag([2.0, -1.0, 1.0, 3.0])
+
+        with pytest.raises(np.linalg.LinAlgError):
+            minimize(fun, c0, jac=jac, callback=lambda f: None, maxiter=10,
+                     gtol=0.0, damping=w)
 
 
 class TestTikhonov:
