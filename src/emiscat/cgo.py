@@ -140,19 +140,22 @@ def _cross(a, b):
 
 
 class MediumFields:
-    """Derivative fields of a refractive index on the large CGO cube, and
-    the coefficients of the potential matrix Q.
+    """A refractive index sampled on the large CGO cube.
 
     ``rotation`` rot (orthogonal; the identity when None) maps the
     medium's frame to the CGO frame, so the cube holds n'(x) = n(rot^T x),
     evaluated from the medium's bump profile; a sampled medium without one
     is refused.
-    ``grad`` is grad(n), shape (3, m, m, m), and ``jac_p[i, j]`` is
-    d_j p_i with p = grad(n)/n, shape (3, 3, m, m, m).
+    ``values`` is n', ``sqrt_n`` and ``inv_sqrt_n`` are n'^{1/2} and
+    n'^{-1/2}: three cube volumes, which ``cgo_solve`` holds from start to
+    end.  The derivative fields and Q's coefficients are a
+    :class:`Potential` (18 volumes), which it holds only while it builds
+    its right-hand side and sweeps; a CGO pairing peaks at about 50
+    volumes (see ``cgo_solve``).
     """
 
     def __init__(self, n: RefractiveIndex, R: float, m_grid: int,
-                 kappa: float, rotation=None):
+                 rotation=None):
         if R <= np.pi:
             raise ValueError("require R > pi")
         profile = getattr(n, "profile", None)  # iterates carry none
@@ -169,30 +172,43 @@ class MediumFields:
         if np.min(vals.real) < n.b - 1e-8:
             raise ValueError("resampled Re(n) dips below b")
         self.values = vals
-        freqs = np.stack(self.grid.frequencies())
+        self.sqrt_n = np.sqrt(vals)
+        self.inv_sqrt_n = 1.0 / self.sqrt_n
+
+
+class Potential:
+    """The 6x6 potential matrix Q of a :class:`MediumFields`, with the
+    derivative fields it is built from.
+
+    ``grad`` is grad(n), shape (3, m, m, m), ``lap_sqrt`` is
+    Delta n^{1/2}, and ``jac_p[i, j]`` is d_j p_i with p = grad(n)/n,
+    shape (3, 3, m, m, m).  Q has ``k2q`` = kappa^2 (1 - n) on the
+    diagonal, plus n^{-1/2} Delta n^{1/2} (in ``k2q_helm``) - jac_p on the
+    top block, and the cross-product coupling w = i kappa n^{-1/2} grad(n).
+    These are 18 cube volumes.  ``cgo_solve`` builds one in the scope of
+    its sweeps and keeps no reference, so it is freed when the last sweep
+    returns.
+    """
+
+    def __init__(self, med: MediumFields, kappa: float):
+        vals = med.values
+        freqs = np.stack(med.grid.frequencies())
         ifreqs = 1j * freqs
-        chat = scipy.fft.fftn(vals - 1.0)
-        self.grad = scipy.fft.ifftn(ifreqs * chat, axes=AXES,
-                                    overwrite_x=True)
+        self.grad = scipy.fft.ifftn(ifreqs * scipy.fft.fftn(vals - 1.0),
+                                    axes=AXES, overwrite_x=True)
         phat = scipy.fft.fftn(self.grad / vals, axes=AXES, overwrite_x=True)
         self.jac_p = scipy.fft.ifftn(ifreqs * phat[:, None], axes=AXES,
                                      overwrite_x=True)
-        sqrt_n = np.sqrt(vals)
-        shat = scipy.fft.fftn(sqrt_n - 1.0)
         f1, f2, f3 = freqs
-        self.lap_sqrt = scipy.fft.ifftn(-(f1**2 + f2**2 + f3**2) * shat)
-        self.sqrt_n = sqrt_n
-        self.inv_sqrt_n = 1.0 / sqrt_n
-        # Q's coefficients: kappa^2 (1 - n) on the diagonal, plus
-        # n^{-1/2} Delta n^{1/2} on the top block, and the cross-product
-        # coupling w = i kappa n^{-1/2} grad(n)
+        self.lap_sqrt = scipy.fft.ifftn(-(f1**2 + f2**2 + f3**2)
+                                        * scipy.fft.fftn(med.sqrt_n - 1.0))
         self.k2q = kappa**2 * (1.0 - vals)
-        self.k2q_helm = self.k2q + self.inv_sqrt_n * self.lap_sqrt
-        self.w = 1j * kappa * self.inv_sqrt_n * self.grad
+        self.k2q_helm = self.k2q + med.inv_sqrt_n * self.lap_sqrt
+        self.w = 1j * kappa * med.inv_sqrt_n * self.grad
 
-    def q_apply(self, A, B):
-        """Action of the 6x6 potential matrix Q on a field pair (A, B) of
-        component-first fields (3, m, m, m), or broadcastable to them."""
+    def apply(self, A, B):
+        """Action of Q on a field pair (A, B) of component-first fields
+        (3, m, m, m), or broadcastable to them."""
         top = self.k2q_helm * A
         bot = self.k2q * B
         tmp = np.empty(top.shape[1:], dtype=complex)
@@ -268,15 +284,16 @@ class FaddeevOperator:
                                     self._forward(v)))
 
 
-def cgo_rhs(med: MediumFields, op: FaddeevOperator, zeta, eta, kappa):
+def cgo_rhs(med: MediumFields, q: Potential, op: FaddeevOperator, zeta, eta,
+            kappa):
     """Right-hand side (F1, F2) of the conjugated fixed-point system, as
     component-first fields."""
     zeta = np.asarray(zeta, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
-    zdg = np.tensordot(zeta, med.grad, axes=1)  # zeta . grad(n)
-    scalar = -1j * med.inv_sqrt_n * zdg - med.lap_sqrt
-    qa, qb = med.q_apply(med.sqrt_n * _column(eta),
-                         _column(np.cross(zeta, eta) / kappa))
+    zdg = np.tensordot(zeta, q.grad, axes=1)  # zeta . grad(n)
+    scalar = -1j * med.inv_sqrt_n * zdg - q.lap_sqrt
+    qa, qb = q.apply(med.sqrt_n * _column(eta),
+                     _column(np.cross(zeta, eta) / kappa))
     qa += scalar * _column(eta)
     return -op(qa), -op(qb)
 
@@ -289,7 +306,8 @@ class CgoSolution:
     u = eta + f*zeta + V; only the bounded parts are stored, vector fields
     as (m, m, m, 3).  ``zeta``, ``eta``, the fields and ``n_values``, the
     refractive index sampled on the cube, are in the CGO (rotated) frame;
-    ``iterations`` counts the Neumann sweeps.
+    ``iterations`` counts the Neumann sweeps.  ``u`` is not stored: it is
+    formed from ``f`` and ``V`` on each read.
     """
 
     grid: CubeGrid
@@ -300,7 +318,6 @@ class CgoSolution:
     t: float
     f: np.ndarray
     V: np.ndarray
-    u: np.ndarray
     h: np.ndarray
     f_norm: float
     v_norm: float
@@ -309,14 +326,84 @@ class CgoSolution:
     iterations: int
     contraction: list = field(default_factory=list)
 
+    @property
+    def u(self) -> np.ndarray:
+        """u = eta + f*zeta + V, shape (m, m, m, 3)."""
+        return conjugated_u(self.f, self.V, self.zeta, self.eta)
+
     def remainder_norm(self) -> float:
         """||f|| + ||V|| over the evaluation ball B(3R/2)."""
         return self.f_norm + self.v_norm
 
 
+def _remainder(f, v, zeta):
+    """The remainder f zeta + V of u = eta + f zeta + V, for a
+    component-first V."""
+    out = f * _column(zeta)
+    out += v
+    return out
+
+
+def conjugated_u(f, V, zeta, eta) -> np.ndarray:
+    """u = eta + (f zeta + V) from f (m, m, m) and V (m, m, m, 3), as
+    (m, m, m, 3).  It is formed component first, as ``cgo_solve`` forms
+    it, so it equals the solve's u bit for bit.
+    """
+    remainder = _remainder(f, np.moveaxis(V, -1, 0), zeta)
+    return np.moveaxis(_column(eta) + remainder, 0, -1)
+
+
 def _ball_l2(values, ball, spacing: float) -> float:
     """L2 norm over the ``ball`` nodes of a scalar or component-first field."""
     return float(np.sqrt(np.sum(np.abs(values[..., ball]) ** 2) * spacing**3))
+
+
+def _pair_norm(a, b) -> float:
+    """Euclidean norm of the field pair (a, b)."""
+    return np.sqrt(np.vdot(a, a).real + np.vdot(b, b).real)
+
+
+def _neumann(med: MediumFields, op: FaddeevOperator, zeta, eta, kappa):
+    """Build the potential and the right-hand side, and run the Neumann
+    sweeps (A, B) <- (F1, F2) - G_zeta Q (A, B) from (F1, F2).
+
+    The potential and (F1, F2) are locals here and are freed on return.
+    Returns the scalar i n^{-1/2} eta.grad(n) that the extraction reads,
+    formed before the sweeps, the last iterate (A, B) and the contraction
+    ratios, one per sweep after the first.
+    """
+    q = Potential(med, kappa)
+    f1, f2 = cgo_rhs(med, q, op, zeta, eta, kappa)
+    eta_grad = 1j * med.inv_sqrt_n * np.tensordot(eta, q.grad, axes=1)
+    ea, hb = f1, f2
+    prev_delta = None
+    ratios = []
+    for _ in range(NEUMANN_SWEEPS):
+        new_a, new_b = q.apply(ea, hb)
+        # G_zeta transforms into a fresh buffer, so rebinding frees Q's
+        # product before the next transform
+        new_a = op(new_a)
+        np.subtract(f1, new_a, out=new_a)
+        new_b = op(new_b)
+        np.subtract(f2, new_b, out=new_b)
+        scale = _pair_norm(new_a, new_b)
+        # the step goes into the previous iterate's buffer, except on the
+        # first sweep, whose previous iterate is (F1, F2) itself
+        first = ea is f1
+        delta = _pair_norm(np.subtract(new_a, ea, out=None if first else ea),
+                           np.subtract(new_b, hb, out=None if first else hb))
+        ea, hb = new_a, new_b
+        if prev_delta is not None and prev_delta > 0:
+            ratios.append(delta / prev_delta)
+            if len(ratios) >= 3 and min(ratios[-3:]) > 1.0:
+                raise CgoError("Neumann iteration diverging",
+                               contraction=ratios)
+        prev_delta = delta
+        if delta <= NEUMANN_TOL * max(scale, 1e-300):
+            return eta_grad, ea, hb, ratios
+    raise CgoError("Neumann iteration did not converge "
+                   f"(last ratio {ratios[-1] if ratios else np.nan:.3f})",
+                   contraction=ratios)
 
 
 def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, kappa: float,
@@ -328,8 +415,22 @@ def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, kappa: float,
     pair ``CgoVectors.rotation``; the identity when None) must bring
     Im(zeta) onto e_z: the solve uses rot @ zeta and rot @ eta and samples
     the medium in the rotated frame, so the medium, not the operator, is
-    rotated.  Past ``NEUMANN_SWEEPS`` sweeps, :class:`CgoError` carries
-    the contraction ratios.
+    rotated.
+
+    The iteration fails fast: :class:`CgoError` is raised, carrying the
+    contraction ratios, as soon as three consecutive ratios exceed 1
+    ("diverging"), or after ``NEUMANN_SWEEPS`` sweeps ("did not
+    converge").
+
+    Memory, in cube volumes of m^3 complex numbers: the medium (3) and
+    the operator's symbol (1) are held for the whole solve, the potential
+    (18) and the right-hand side (6) only until the last sweep returns.  A
+    sweep adds the iterate, Q's product and one transform, at most 15
+    volumes, and one solve peaks there, at about 44.  The extraction
+    starts from the last iterate (6) and the eta.grad scalar (1), and the
+    solution keeps f, V, h and n_values (8).  ``vsc.cgo_pair_estimate``
+    also holds 5 volumes of its first solution while the second solves,
+    so a pairing peaks at about 50.
     """
     zeta = np.asarray(zeta, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
@@ -341,42 +442,19 @@ def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, kappa: float,
         raise CgoError("zeta.zeta != kappa^2")
     if abs(zeta @ eta) > 1e-8 * zn * np.linalg.norm(eta):
         raise CgoError("zeta.eta != 0")
-    med = MediumFields(n, R, m_grid, kappa, rotation)
+    med = MediumFields(n, R, m_grid, rotation)
     op = FaddeevOperator(zeta, med.grid)
-    f1, f2 = cgo_rhs(med, op, zeta, eta, kappa)
-    ea, hb = f1, f2  # a sweep writes only into fresh buffers
-    prev_delta = None
-    ratios = []
-    for sweep in range(1, NEUMANN_SWEEPS + 1):
-        qa, qb = med.q_apply(ea, hb)
-        ga, gb = op(qa), op(qb)
-        new_a = np.subtract(f1, ga, out=qa)
-        new_b = np.subtract(f2, gb, out=qb)
-        scale = np.sqrt(np.vdot(new_a, new_a).real
-                        + np.vdot(new_b, new_b).real)
-        step_a = np.subtract(new_a, ea, out=ga)
-        step_b = np.subtract(new_b, hb, out=gb)
-        delta = np.sqrt(np.vdot(step_a, step_a).real
-                        + np.vdot(step_b, step_b).real)
-        ea, hb = new_a, new_b
-        if prev_delta is not None and prev_delta > 0:
-            ratios.append(delta / prev_delta)
-        prev_delta = delta
-        if delta <= NEUMANN_TOL * max(scale, 1e-300):
-            break
-    else:
-        raise CgoError("Neumann iteration did not converge "
-                       f"(last ratio {ratios[-1] if ratios else np.nan:.3f})",
-                       contraction=ratios)
-    if len(ratios) >= 3 and min(ratios[-3:]) > 1.0:
-        raise CgoError("Neumann iteration diverging", contraction=ratios)
+    eta_grad, ea, hb, ratios = _neumann(med, op, zeta, eta, kappa)
     # extraction per the remainder splitting
     zeta_c = _column(zeta)
-    g0 = op(1j * med.inv_sqrt_n * np.tensordot(eta, med.grad, axes=1))
+    g0 = op(eta_grad)
     f_field = med.inv_sqrt_n * g0
-    v_field = med.inv_sqrt_n * (ea - g0 * zeta_c)
+    # V is formed in the last iterate's top buffer, which nothing reads
+    # after it
+    v_field = np.subtract(ea, g0 * zeta_c, out=ea)
+    np.multiply(med.inv_sqrt_n, v_field, out=v_field)
     # the constant parts of u and h are curl-free and handled analytically
-    mod_u = f_field * zeta_c + v_field
+    mod_u = _remainder(f_field, v_field, zeta)
     u = _column(eta) + mod_u
     h = _column(np.cross(zeta, eta) / kappa) + hb
     ball = med.grid.radii() < 1.5 * R
@@ -386,20 +464,20 @@ def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, kappa: float,
     # Maxwell residual in conjugated variables on B(3R/2):
     # r1 = curl u + i (zeta x u - kappa h),
     # r2 = curl h + i (zeta x h + kappa n u)
-    r1 = _cross(zeta_c, u)
-    r1 -= kappa * h
-    r1 *= 1j
-    r1 += op.shifted_curl(mod_u)
-    r2 = _cross(zeta_c, h)
-    r2 += kappa * med.values * u
-    r2 *= 1j
-    r2 += op.shifted_curl(hb)
-    resid = ((_ball_l2(r1, ball, spacing) + _ball_l2(r2, ball, spacing))
+    r = _cross(zeta_c, u)
+    r -= kappa * h
+    r *= 1j
+    r += op.shifted_curl(mod_u)
+    r1_norm = _ball_l2(r, ball, spacing)
+    r = _cross(zeta_c, h)
+    r += kappa * med.values * u
+    r *= 1j
+    r += op.shifted_curl(hb)
+    resid = ((r1_norm + _ball_l2(r, ball, spacing))
              / (kappa * (_ball_l2(u, ball, spacing)
                          + _ball_l2(h, ball, spacing))))
     return CgoSolution(grid=med.grid, R=R, kappa=kappa, zeta=zeta, eta=eta,
                        t=op.t, f=f_field, V=np.moveaxis(v_field, 0, -1),
-                       u=np.moveaxis(u, 0, -1), h=np.moveaxis(h, 0, -1),
-                       f_norm=f_norm, v_norm=v_norm, residual=resid,
-                       n_values=med.values, iterations=sweep,
-                       contraction=ratios)
+                       h=np.moveaxis(h, 0, -1), f_norm=f_norm,
+                       v_norm=v_norm, residual=resid, n_values=med.values,
+                       iterations=len(ratios) + 1, contraction=ratios)

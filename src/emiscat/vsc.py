@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cgo import cgo_solve, cgo_vectors
+from .cgo import cgo_solve, cgo_vectors, conjugated_u
 from .fourier import (
     UNITARY_FACTOR,
     RefractiveIndex,
@@ -226,26 +226,32 @@ def cgo_pair_estimate(n1: RefractiveIndex, n2: RefractiveIndex, gamma,
     g = np.linalg.norm(gamma)
     v = cgo_vectors(gamma, t, kappa)
     rot = v.rotation
-    s1 = cgo_solve(n1, v.zeta1, v.eta1, R, m_grid=m_grid, kappa=kappa,
-                   rotation=rot)
-    s2 = cgo_solve(n2, v.zeta2, v.eta2, R, m_grid=m_grid, kappa=kappa,
-                   rotation=rot)
+
+    def solve(n, zeta, eta):
+        # what the pairing reads of a CGO solution: its h is never read,
+        # and u is formed from f and V when the pairing runs
+        s = cgo_solve(n, zeta, eta, R, m_grid=m_grid, kappa=kappa,
+                      rotation=rot)
+        return s.grid, s.f, s.V, s.n_values, s.zeta, s.eta
+
     # the pairing runs on the CGO cube, in the rotated frame
-    grid = s1.grid
-    dn = s1.n_values - s2.n_values
+    grid, f1, V1, nv1, zeta1, eta1 = solve(n1, v.zeta1, v.eta1)
+    _, f2, V2, nv2, zeta2, eta2 = solve(n2, v.zeta2, v.eta2)
+    dn = nv1 - nv2
     phase = np.exp(-1j * grid.points() @ (rot @ gamma))
     weight = dn * phase * grid.spacing**3
 
     def pair(scalar_field):
         return np.sum(weight * scalar_field)
 
-    dot = np.einsum("...j,...j->...", s1.u, s2.u)
+    dot = np.einsum("...j,...j->...", conjugated_u(f1, V1, zeta1, eta1),
+                    conjugated_u(f2, V2, zeta2, eta2))
     total = pair(dot)
-    corr = pair(-g * (s1.f + s2.f)
-                + s2.V @ s1.eta + s1.V @ s2.eta
-                + s1.f * s2.f * (g**2 / 2.0 - kappa**2)
-                + s1.f * (s2.V @ s1.zeta) + s2.f * (s1.V @ s2.zeta)
-                + np.einsum("...j,...j->...", s1.V, s2.V))
+    corr = pair(-g * (f1 + f2)
+                + V2 @ eta1 + V1 @ eta2
+                + f1 * f2 * (g**2 / 2.0 - kappa**2)
+                + f1 * (V2 @ zeta1) + f2 * (V1 @ zeta2)
+                + np.einsum("...j,...j->...", V1, V2))
     lead = UNITARY_FACTOR * (1.0 + g**2 / (4.0 * t**2))
     return complex((total - corr) / lead), complex(total / lead)
 

@@ -1,5 +1,7 @@
 """Tests for the complex-geometrical-optics machinery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -9,6 +11,7 @@ from emiscat.cgo import (
     CgoError,
     FaddeevOperator,
     MediumFields,
+    Potential,
     cgo_solve,
     cgo_vectors,
     q_bound,
@@ -16,6 +19,7 @@ from emiscat.cgo import (
 )
 from emiscat.fourier import BumpProfile, CubeGrid, RefractiveIndex, make_test_index
 from emiscat.inversion import ContrastMedium
+from emiscat.vsc import cgo_pair_estimate
 
 KAPPA = 1.0
 R_CGO = 1.2 * np.pi
@@ -35,21 +39,21 @@ def axis_aligned_zeta(t, kappa=KAPPA):
     return zeta, eta
 
 
-def q_matrix(med):
+def q_matrix(pot):
     """Explicit 6x6 potential matrix field (6, 6, m, m, m) of a
-    ``MediumFields``: the oracle of its action ``q_apply``."""
-    q = np.zeros((6, 6) + med.values.shape, dtype=complex)
-    wx, wy, wz = med.w
-    cross = np.zeros((3, 3) + med.values.shape, dtype=complex)  # w x .
+    ``Potential``: the oracle of its action ``apply``."""
+    q = np.zeros((6, 6) + pot.k2q.shape, dtype=complex)
+    wx, wy, wz = pot.w
+    cross = np.zeros((3, 3) + pot.k2q.shape, dtype=complex)  # w x .
     cross[0, 1], cross[0, 2] = -wz, wy
     cross[1, 0], cross[1, 2] = wz, -wx
     cross[2, 0], cross[2, 1] = -wy, wx
     q[:3, 3:] = -cross
     q[3:, :3] = cross
-    q[:3, :3] = -med.jac_p
+    q[:3, :3] = -pot.jac_p
     for i in range(3):
-        q[i, i] += med.k2q_helm
-        q[i + 3, i + 3] = med.k2q
+        q[i, i] += pot.k2q_helm
+        q[i + 3, i + 3] = pot.k2q
     return q
 
 
@@ -135,7 +139,7 @@ class TestRotation:
         # closed-form oracle: n(rot^T x) is the profile with centres rot c
         n = bump_medium(n_grid=16)
         rot = cgo_vectors(np.array([0.0, 1.0, 1.0]), 15.0, 1.0).rotation
-        med = MediumFields(n, R_CGO, 32, KAPPA, rot)
+        med = MediumFields(n, R_CGO, 32, rot)
         prof = n.profile
         rotated = BumpProfile(
             centers=tuple(tuple(rot @ np.asarray(c)) for c in prof.centers),
@@ -151,12 +155,12 @@ class TestRotation:
         for sampled in (RefractiveIndex(grid=n.grid, values=n.values, b=n.b),
                         ContrastMedium(grid=n.grid, coeffs=n.coeffs)):
             with pytest.raises(ValueError, match="bump-profile"):
-                MediumFields(sampled, R_CGO, 32, KAPPA, rot)
+                MediumFields(sampled, R_CGO, 32, rot)
 
     def test_non_orthogonal(self):
         n = bump_medium(n_grid=16)
         with pytest.raises(ValueError, match="orthogonal"):
-            MediumFields(n, R_CGO, 16, KAPPA, np.diag([1.0, 2.0, 1.0]))
+            MediumFields(n, R_CGO, 16, np.diag([1.0, 2.0, 1.0]))
 
 
 class TestFaddeev:
@@ -229,20 +233,34 @@ class TestFaddeev:
             FaddeevOperator(zeta, grid)
 
 
+    def test_input_unchanged(self):
+        # callers read a field again after transforming it (acceptance 04
+        # and the tests above), so neither method may write into it
+        grid = CubeGrid(2.0 * R_CGO, 16)
+        zeta, _ = axis_aligned_zeta(9.0)
+        op = FaddeevOperator(zeta, grid)
+        rng = np.random.default_rng(10)
+        v = (rng.standard_normal((3,) + (16,) * 3)
+             + 1j * rng.standard_normal((3,) + (16,) * 3))
+        for method, field in ((op, v[0]), (op, v), (op.shifted_curl, v)):
+            before = field.copy()
+            method(field)
+            assert np.array_equal(field, before)
+
 class TestMediumFields:
     def test_vacuum_outside_support(self):
-        med = MediumFields(bump_medium(n_grid=16), R_CGO, 24, KAPPA)
+        med = MediumFields(bump_medium(n_grid=16), R_CGO, 24)
         outside = med.grid.radii() > np.pi + 0.3
         assert np.max(np.abs(med.values[outside] - 1.0)) < 1e-10
 
     def test_q_matrix_matches_action(self):
         n = bump_medium(n_grid=16)
-        med = MediumFields(n, R_CGO, 16, KAPPA)
-        q = q_matrix(med)
+        pot = Potential(MediumFields(n, R_CGO, 16), KAPPA)
+        q = q_matrix(pot)
         rng = np.random.default_rng(2)
         A = rng.standard_normal((3, 16, 16, 16)) + 0j
         B = rng.standard_normal((3, 16, 16, 16)) + 0j
-        top, bot = med.q_apply(A, B)
+        top, bot = pot.apply(A, B)
         full = np.concatenate([A, B], axis=0)
         ref = np.einsum("ij...,j...->i...", q, full)
         assert np.max(np.abs(top - ref[:3])) < 1e-10
@@ -251,7 +269,7 @@ class TestMediumFields:
     def test_q_bound_dominates(self):
         # the explicit matrix stays below the generic spectral-norm bound
         n = bump_medium(n_grid=16)
-        q = q_matrix(MediumFields(n, R_CGO, 16, KAPPA))
+        q = q_matrix(Potential(MediumFields(n, R_CGO, 16), KAPPA))
         spectral = np.linalg.norm(np.moveaxis(q, (0, 1), (-2, -1))
                                   .reshape(-1, 6, 6), ord=2, axis=(1, 2))
         lm_cm = 2.0  # a crude admissible-class constant for this medium
@@ -289,7 +307,7 @@ class TestCgoSolve:
         assert sol.residual < 1e-3
 
     def test_transform_count(self, monkeypatch):
-        # MediumFields 18 volumes, right-hand side 12, each Neumann sweep
+        # the potential 18 volumes, right-hand side 12, each Neumann sweep
         # 12, the extraction 2 and the two residual curls 12
         n = bump_medium(n_grid=16)
         volumes = []
@@ -315,6 +333,39 @@ class TestCgoSolve:
             cgo_solve(bump_medium(n_grid=16), zeta, eta, R_CGO, KAPPA, 16)
         assert len(err.value.contraction) == sweeps - 1
         assert all(0 < r < 1 for r in err.value.contraction)
+
+    def test_divergence_fails_fast(self):
+        # a strong narrow bump at small t: the contraction ratios exceed 1
+        # from the start (1.99, 1.41, 1.12, ...), so the third of them
+        # stops the iteration after 4 sweeps rather than 80
+        prof = BumpProfile(centers=((0.3, -0.2, 0.1),), amplitudes=(5.0,),
+                           widths=(0.6,))
+        n = make_test_index(prof, CubeGrid(np.pi, 24), b=0.5)
+        zeta, eta = axis_aligned_zeta(0.5, kappa=3.0)
+        with pytest.raises(CgoError, match="diverging") as err:
+            cgo_solve(n, zeta, eta, R_CGO, 3.0, 32)
+        assert len(err.value.contraction) == 3
+        assert all(r > 1.0 for r in err.value.contraction)
+
+    def test_pair_memory(self):
+        # one pairing at m_grid = 32 peaks at about 50 cube volumes of m^3
+        # complex numbers; holding both whole solutions and every medium
+        # field to the end took 80
+        m = 32
+        n1 = bump_medium()
+        prof = BumpProfile(centers=((0.3, -0.2, 0.1), (-0.6, 0.4, 0.2)),
+                           amplitudes=(0.2, 0.05), widths=(1.5, 1.0))
+        n2 = make_test_index(prof, n1.grid, b=0.8)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            cgo_pair_estimate(n1, n2, (1.0, 0.0, 0.0), 15.0, KAPPA, R_CGO,
+                              m_grid=m)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 56 * m**3 * 16
 
     def test_bad_inputs(self):
         n = bump_medium(n_grid=16)

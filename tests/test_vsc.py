@@ -8,14 +8,19 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import spherical_jn
 
-from emiscat.cgo import MediumFields
+from emiscat.cgo import MediumFields, cgo_solve, cgo_vectors
 from emiscat.forward import (
     NearFieldData,
     SphereGrid,
     background_green,
     near_field_operator,
 )
-from emiscat.fourier import BumpProfile, CubeGrid, make_test_index
+from emiscat.fourier import (
+    UNITARY_FACTOR,
+    BumpProfile,
+    CubeGrid,
+    make_test_index,
+)
 from emiscat.vsc import (
     ScheduleParams,
     boundary_operator_N,
@@ -323,6 +328,36 @@ class TestFourierDiff:
         assert len(builds) == 2
         assert np.isfinite(est) and np.isfinite(lead)
 
+
+    def test_cgo_pair_matches_whole_solutions(self):
+        # the pairing equals, bit for bit, the one assembled from two whole
+        # solutions, and a solution's u is eta + (f zeta + V)
+        n1 = bump_medium()
+        n2 = bump_medium(extra=((-0.6, 0.4, 0.2), 0.05, 1.0))
+        gamma, t = np.array([1.0, 0.0, 0.0]), 15.0
+        g = np.linalg.norm(gamma)
+        v = cgo_vectors(gamma, t, KAPPA)
+        rot = v.rotation
+        s1 = cgo_solve(n1, v.zeta1, v.eta1, R_DATA, KAPPA, 32, rotation=rot)
+        s2 = cgo_solve(n2, v.zeta2, v.eta2, R_DATA, KAPPA, 32, rotation=rot)
+        for s in (s1, s2):
+            assert np.array_equal(s.u, s.eta + (s.f[..., None] * s.zeta + s.V))
+        grid = s1.grid
+        weight = ((s1.n_values - s2.n_values)
+                  * np.exp(-1j * grid.points() @ (rot @ gamma))
+                  * grid.spacing**3)
+        total = np.sum(weight * np.einsum("...j,...j->...", s1.u, s2.u))
+        corr = np.sum(weight * (
+            -g * (s1.f + s2.f)
+            + s2.V @ s1.eta + s1.V @ s2.eta
+            + s1.f * s2.f * (g**2 / 2.0 - KAPPA**2)
+            + s1.f * (s2.V @ s1.zeta) + s2.f * (s1.V @ s2.zeta)
+            + np.einsum("...j,...j->...", s1.V, s2.V)))
+        lead = UNITARY_FACTOR * (1.0 + g**2 / (4.0 * t**2))
+        est, leading = cgo_pair_estimate(n1, n2, gamma, t, KAPPA, R_DATA,
+                                         m_grid=32)
+        assert est == complex((total - corr) / lead)
+        assert leading == complex(total / lead)
 
 class TestDiffToData:
     def test_equal_media(self):
