@@ -20,9 +20,10 @@ overflows by thousands of orders of magnitude.  All stored fields are the
 bounded conjugated parts.
 
 Layout: inside this module every vector field is stored component first,
-(3, m, m, m), so that each component is contiguous and one batched FFT
-over the last three axes transforms all of them.  ``CgoSolution`` hands
-its fields back as (m, m, m, 3), the layout of the rest of the package.
+(3, m, m, m), so that each component is contiguous and one in-place
+transform over the last three axes (``fourier.fftn``, one numpy pass per
+axis) covers all of them.  ``CgoSolution`` hands its fields back as
+(m, m, m, 3), the layout of the rest of the package.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
-from .fourier import CubeGrid, RefractiveIndex
+from .fourier import CubeGrid, RefractiveIndex, fftn, ifftn
 
 AXES = (-3, -2, -1)  # the cube's axes; any leading axis indexes components
 NEUMANN_TOL, NEUMANN_SWEEPS = 1e-11, 80  # relative step to stop; sweep limit
@@ -148,10 +148,10 @@ class MediumFields:
     is refused.
     ``values`` is n', ``sqrt_n`` and ``inv_sqrt_n`` are n'^{1/2} and
     n'^{-1/2}: three cube volumes, which ``cgo_solve`` holds from start to
-    end.  The derivative fields and Q's coefficients are a
-    :class:`Potential` (18 volumes), which it holds only while it builds
-    its right-hand side and sweeps; a CGO pairing peaks at about 50
-    volumes (see ``cgo_solve``).
+    end.  Q's coefficients are a :class:`Potential` (14 volumes), held
+    through the sweeps; the derivative fields grad(n) and Delta n^{1/2}
+    (4 volumes) only until the right-hand side is formed.  A CGO pairing
+    peaks at about 45 volumes (see ``cgo_solve``).
     """
 
     def __init__(self, n: RefractiveIndex, R: float, m_grid: int,
@@ -176,35 +176,40 @@ class MediumFields:
         self.inv_sqrt_n = 1.0 / self.sqrt_n
 
 
-class Potential:
-    """The 6x6 potential matrix Q of a :class:`MediumFields`, with the
-    derivative fields it is built from.
+def _derivatives(med: MediumFields):
+    """The spectral derivative fields of n that Q and the right-hand side
+    are built from: grad(n), shape (3, m, m, m), Delta n^{1/2}, and
+    ``jac_p[i, j]`` = d_j p_i with p = grad(n)/n, shape (3, 3, m, m, m)."""
+    vals = med.values
+    freqs = np.stack(med.grid.frequencies())
+    ifreqs = 1j * freqs
+    grad = ifftn(ifreqs * fftn(vals - 1.0, AXES), AXES)
+    phat = fftn(grad / vals, AXES)
+    jac_p = ifftn(ifreqs * phat[:, None], AXES)
+    f1, f2, f3 = freqs
+    lap_sqrt = ifftn(-(f1**2 + f2**2 + f3**2)
+                     * fftn(med.sqrt_n - 1.0, AXES), AXES)
+    return grad, lap_sqrt, jac_p
 
-    ``grad`` is grad(n), shape (3, m, m, m), ``lap_sqrt`` is
-    Delta n^{1/2}, and ``jac_p[i, j]`` is d_j p_i with p = grad(n)/n,
-    shape (3, 3, m, m, m).  Q has ``k2q`` = kappa^2 (1 - n) on the
-    diagonal, plus n^{-1/2} Delta n^{1/2} (in ``k2q_helm``) - jac_p on the
-    top block, and the cross-product coupling w = i kappa n^{-1/2} grad(n).
-    These are 18 cube volumes.  ``cgo_solve`` builds one in the scope of
-    its sweeps and keeps no reference, so it is freed when the last sweep
-    returns.
+
+class Potential:
+    """The 6x6 potential matrix Q of a :class:`MediumFields`, built from
+    the derivative fields of ``_derivatives``, of which it keeps only
+    ``jac_p``.
+
+    Q has ``k2q`` = kappa^2 (1 - n) on the diagonal, plus
+    n^{-1/2} Delta n^{1/2} (in ``k2q_helm``) - jac_p on the top block,
+    and the cross-product coupling w = i kappa n^{-1/2} grad(n).  These
+    are 14 cube volumes, which ``cgo_solve`` holds through its sweeps and
+    frees when the last one returns.
     """
 
-    def __init__(self, med: MediumFields, kappa: float):
-        vals = med.values
-        freqs = np.stack(med.grid.frequencies())
-        ifreqs = 1j * freqs
-        self.grad = scipy.fft.ifftn(ifreqs * scipy.fft.fftn(vals - 1.0),
-                                    axes=AXES, overwrite_x=True)
-        phat = scipy.fft.fftn(self.grad / vals, axes=AXES, overwrite_x=True)
-        self.jac_p = scipy.fft.ifftn(ifreqs * phat[:, None], axes=AXES,
-                                     overwrite_x=True)
-        f1, f2, f3 = freqs
-        self.lap_sqrt = scipy.fft.ifftn(-(f1**2 + f2**2 + f3**2)
-                                        * scipy.fft.fftn(med.sqrt_n - 1.0))
-        self.k2q = kappa**2 * (1.0 - vals)
-        self.k2q_helm = self.k2q + med.inv_sqrt_n * self.lap_sqrt
-        self.w = 1j * kappa * med.inv_sqrt_n * self.grad
+    def __init__(self, med: MediumFields, kappa: float, grad, lap_sqrt,
+                 jac_p):
+        self.jac_p = jac_p
+        self.k2q = kappa**2 * (1.0 - med.values)
+        self.k2q_helm = self.k2q + med.inv_sqrt_n * lap_sqrt
+        self.w = 1j * kappa * med.inv_sqrt_n * grad
 
     def apply(self, A, B):
         """Action of Q on a field pair (A, B) of component-first fields
@@ -264,10 +269,11 @@ class FaddeevOperator:
         self._remod = np.conj(self._demod)
 
     def _forward(self, f):
-        return scipy.fft.fftn(self._demod * f, axes=AXES, overwrite_x=True)
+        return fftn(self._demod * f, AXES)
 
     def _inverse(self, g):
-        out = scipy.fft.ifftn(g, axes=AXES, overwrite_x=True)
+        """Transform back, overwriting ``g``."""
+        out = ifftn(g, AXES)
         out *= self._remod
         return out
 
@@ -284,14 +290,15 @@ class FaddeevOperator:
                                     self._forward(v)))
 
 
-def cgo_rhs(med: MediumFields, q: Potential, op: FaddeevOperator, zeta, eta,
-            kappa):
+def cgo_rhs(med: MediumFields, grad, lap_sqrt, q: Potential,
+            op: FaddeevOperator, zeta, eta, kappa):
     """Right-hand side (F1, F2) of the conjugated fixed-point system, as
-    component-first fields."""
+    component-first fields, from the derivative fields grad(n) and
+    Delta n^{1/2} and the potential Q they built."""
     zeta = np.asarray(zeta, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
-    zdg = np.tensordot(zeta, q.grad, axes=1)  # zeta . grad(n)
-    scalar = -1j * med.inv_sqrt_n * zdg - q.lap_sqrt
+    zdg = np.tensordot(zeta, grad, axes=1)  # zeta . grad(n)
+    scalar = -1j * med.inv_sqrt_n * zdg - lap_sqrt
     qa, qb = q.apply(med.sqrt_n * _column(eta),
                      _column(np.cross(zeta, eta) / kappa))
     qa += scalar * _column(eta)
@@ -363,18 +370,26 @@ def _pair_norm(a, b) -> float:
     return np.sqrt(np.vdot(a, a).real + np.vdot(b, b).real)
 
 
+def _system(med: MediumFields, op: FaddeevOperator, zeta, eta, kappa):
+    """The potential Q, the right-hand side (F1, F2) and the scalar
+    i n^{-1/2} eta.grad(n) that the extraction reads.  grad(n) and
+    Delta n^{1/2}, which only these read, are locals here and are freed
+    on return."""
+    grad, lap_sqrt, jac_p = _derivatives(med)
+    q = Potential(med, kappa, grad, lap_sqrt, jac_p)
+    f1, f2 = cgo_rhs(med, grad, lap_sqrt, q, op, zeta, eta, kappa)
+    return q, f1, f2, 1j * med.inv_sqrt_n * np.tensordot(eta, grad, axes=1)
+
+
 def _neumann(med: MediumFields, op: FaddeevOperator, zeta, eta, kappa):
-    """Build the potential and the right-hand side, and run the Neumann
-    sweeps (A, B) <- (F1, F2) - G_zeta Q (A, B) from (F1, F2).
+    """Build the system (``_system``) and run the Neumann sweeps
+    (A, B) <- (F1, F2) - G_zeta Q (A, B) from (F1, F2).
 
     The potential and (F1, F2) are locals here and are freed on return.
-    Returns the scalar i n^{-1/2} eta.grad(n) that the extraction reads,
-    formed before the sweeps, the last iterate (A, B) and the contraction
-    ratios, one per sweep after the first.
+    Returns the eta.grad scalar, the last iterate (A, B) and the
+    contraction ratios, one per sweep after the first.
     """
-    q = Potential(med, kappa)
-    f1, f2 = cgo_rhs(med, q, op, zeta, eta, kappa)
-    eta_grad = 1j * med.inv_sqrt_n * np.tensordot(eta, q.grad, axes=1)
+    q, f1, f2, eta_grad = _system(med, op, zeta, eta, kappa)
     ea, hb = f1, f2
     prev_delta = None
     ratios = []
@@ -423,14 +438,16 @@ def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, kappa: float,
     converge").
 
     Memory, in cube volumes of m^3 complex numbers: the medium (3) and
-    the operator's symbol (1) are held for the whole solve, the potential
-    (18) and the right-hand side (6) only until the last sweep returns.  A
-    sweep adds the iterate, Q's product and one transform, at most 15
-    volumes, and one solve peaks there, at about 44.  The extraction
-    starts from the last iterate (6) and the eta.grad scalar (1), and the
-    solution keeps f, V, h and n_values (8).  ``vsc.cgo_pair_estimate``
-    also holds 5 volumes of its first solution while the second solves,
-    so a pairing peaks at about 50.
+    the operator's symbol (1) are held for the whole solve, the
+    potential (14) and the right-hand side (6) until the last sweep
+    returns, and grad(n) and Delta n^{1/2} (4) only until the right-hand
+    side and the eta.grad scalar (1) are formed.  A sweep adds the
+    iterate, Q's product and one transform, at most 15 volumes, and one
+    solve peaks there, at about 40.  The extraction starts from the last
+    iterate (6) and the eta.grad scalar (1), and the solution keeps f, V,
+    h and n_values (8).  ``vsc.cgo_pair_estimate`` also holds 5 volumes
+    of its first solution while the second solves, so a pairing peaks at
+    about 45.
     """
     zeta = np.asarray(zeta, dtype=complex)
     eta = np.asarray(eta, dtype=complex)

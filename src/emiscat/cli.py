@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
 
 from . import io as containers
 from .cgo import cgo_solve, cgo_vectors
@@ -462,7 +461,11 @@ KINDS = tuple(RUNNERS)
 
 def run(kind: str, config_path, out_dir=None, seed: int = 0,
         threads: int = 1) -> dict:
-    """Execute one experiment with ``threads`` FFT workers."""
+    """Execute one experiment with ``threads`` FFT workers.
+
+    The workers are ``scipy.fft``'s and serve the forward solver.  The
+    ``cgo`` pipeline calls no solver: its transforms run on numpy, which
+    has no workers, so it loads no scipy and ignores ``threads``."""
     _kind(kind)
     if threads < 1:
         raise ConfigError("threads must be at least 1")
@@ -475,10 +478,15 @@ def run(kind: str, config_path, out_dir=None, seed: int = 0,
     target = out_dir or cfg.out_dir
     if target is None:
         raise ConfigError("no output directory (config [output] or --out)")
-    with scipy.fft.set_workers(threads):
-        medium = build_medium(cfg, seed)
-        ws = Workspace(target, seed)
-        RUNNERS[kind](cfg, medium, ws)
+    medium = build_medium(cfg, seed)
+    ws = Workspace(target, seed)
+    if kind == "cgo":
+        run_cgo(cfg, medium, ws)
+    else:
+        import scipy.fft
+
+        with scipy.fft.set_workers(threads):
+            RUNNERS[kind](cfg, medium, ws)
     return ws.finish()
 
 

@@ -29,7 +29,10 @@ step for step scipy's, at the module constants ``GMRES_RTOL``,
 ``GMRES_RESTART`` and ``GMRES_MAXITER``: each restart cycle ends with a
 matvec at its iterate, and the solve succeeds once that true residual is at
 most ``GMRES_RTOL`` times ||b||.  So the module needs neither scipy.sparse
-nor scipy.linalg.
+nor scipy.linalg.  Its transforms are ``scipy.fft``'s, which runs them on
+the caller's ``scipy.fft.set_workers`` threads; the module loads it on
+first use, so that importing it (as ``emiscat.cli`` does for every
+pipeline, the CGO one too) loads no scipy.
 
 Near- and far-field data operators assemble the 3x3 matrix responses to
 dipole and plane-wave excitations on measurement spheres.  Both, and the
@@ -42,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .fourier import BumpProfile, CubeGrid, RefractiveIndex, inverse_fourier
 
@@ -294,6 +296,8 @@ def support_box(n) -> tuple:
     other medium, and one without contrast, gets the whole grid: a medium
     known only by its samples has a spectral grad(n)/n whose tail outside
     the support is part of its model."""
+    import scipy.fft
+
     N = n.grid.n
     whole = (slice(0, N),) * 3
     if not isinstance(getattr(n, "profile", None), BumpProfile):
@@ -329,6 +333,8 @@ def _fft_passes(buf, ext, axes, full=()):
     """Padded FFT in place along ``axes`` of the data in ``buf``'s corner of
     extent ``ext``, each pass over the lines that reach it (``full`` and the
     axes done so far span the lattice), its pad zeroed just before."""
+    import scipy.fft
+
     for ax in axes:
         full += (ax,)
         view = _corner(buf, ext, full)
@@ -339,6 +345,8 @@ def _fft_passes(buf, ext, axes, full=()):
 def _ifft_passes(buf, ext, axes, full=(0, 1, 2)):
     """Inverse FFT along ``axes`` of ``buf``'s view spanning ``full``, in
     place over the lines the crop to ``ext`` keeps; returns it so cropped."""
+    import scipy.fft
+
     for ax in axes:
         _in_place(scipy.fft.ifftn, _corner(buf, ext, full), ax)
         full = tuple(a for a in full if a != ax)
@@ -429,6 +437,8 @@ class _Convolution:
     allocated once."""
 
     def __init__(self, symbol, kappa, box):
+        import scipy.fft
+
         M = symbol.shape[0]
         self.ext = tuple(s.stop - s.start for s in box)
         shape = tuple(scipy.fft.next_fast_len(2 * a - 1) for a in self.ext)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 TWO_PI = 2.0 * np.pi
 #: (2*pi)**(3/2), the coefficient of the constant function 1 at gamma = 0.
@@ -74,6 +73,33 @@ class CubeGrid:
         return scale * g1, scale * g2, scale * g3
 
 
+def fftn(x: np.ndarray, axes) -> np.ndarray:
+    """Discrete Fourier transform of the complex array ``x`` over ``axes``,
+    in place; returns ``x``.
+
+    One numpy pass per axis, in the given order, which is the order that
+    ``scipy.fft.fftn`` takes them in, so the two agree bit for bit.
+    """
+    for ax in axes:
+        np.fft.fft(x, axis=ax, out=x)
+    return x
+
+
+def ifftn(x: np.ndarray, axes) -> np.ndarray:
+    """Inverse of :func:`fftn`, in place; returns ``x``.
+
+    The passes do not scale.  The factor 1/prod(n) is applied right after
+    the first pass, where ``scipy.fft.ifftn`` applies it, so the two agree
+    bit for bit.
+    """
+    scale = 1.0 / math.prod(x.shape[ax] for ax in axes)
+    for i, ax in enumerate(axes):
+        np.fft.ifft(x, axis=ax, norm="forward", out=x)
+        if i == 0:
+            x *= scale
+    return x
+
+
 def fourier_coeffs(values: np.ndarray, grid: CubeGrid) -> np.ndarray:
     """Unitary Fourier coefficients of grid samples on C(pi).
 
@@ -86,7 +112,7 @@ def fourier_coeffs(values: np.ndarray, grid: CubeGrid) -> np.ndarray:
     g1, g2, g3 = grid.gammas()
     # phase accounts for the grid starting at -a instead of 0
     phase = np.exp(-1j * (np.pi / grid.half_side) * grid.half_side * (g1 + g2 + g3))
-    return scale * phase * scipy.fft.fftn(values)
+    return scale * phase * fftn(np.array(values, dtype=complex), range(3))
 
 
 def inverse_fourier(coeffs: np.ndarray, grid: CubeGrid) -> np.ndarray:
@@ -96,7 +122,7 @@ def inverse_fourier(coeffs: np.ndarray, grid: CubeGrid) -> np.ndarray:
     scale = grid.spacing**3 / UNITARY_FACTOR
     g1, g2, g3 = grid.gammas()
     phase = np.exp(1j * (np.pi / grid.half_side) * grid.half_side * (g1 + g2 + g3))
-    return scipy.fft.ifftn(coeffs * phase / scale)
+    return ifftn(coeffs * phase / scale, range(3))
 
 
 def hm_norm(coeffs: np.ndarray, m: float, grid: CubeGrid) -> float:

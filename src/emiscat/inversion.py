@@ -113,7 +113,7 @@ def band_limited_index(grid: CubeGrid, gamma_max: float, amplitude: float,
     spec[mask] /= (1.0 + g2[mask]) ** 2
     field = inverse_fourier(spec, grid).real  # real part -> Hermitian coeffs
     field *= amplitude / np.max(np.abs(field))
-    coeffs = fourier_coeffs(field.astype(complex), grid)
+    coeffs = fourier_coeffs(field, grid)
     coeffs[~mask] = 0.0
     return ContrastMedium(grid=grid, coeffs=coeffs)
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import sph_harm_y, spherical_jn, spherical_yn
 
 if TYPE_CHECKING:  # annotations only: the CGO path never loads the solver
     from .forward import FarFieldData
@@ -29,6 +28,8 @@ def harmonic_table(L, directions):
     Returns shape ((L+1)**2, ...) ordered lexicographically by (l, k),
     k = -l..l; row index of (l, k) is l**2 + l + k.
     """
+    from scipy.special import sph_harm_y  # on first use: vsc loads no scipy
+
     d = np.asarray(directions, dtype=float)
     theta = np.arccos(np.clip(d[..., 2], -1.0, 1.0))
     phi = np.arctan2(d[..., 1], d[..., 0])
@@ -42,6 +43,8 @@ def harmonic_table(L, directions):
 
 def sph_hankel1(l, z):
     """Spherical Hankel function of the first kind h_l^(1)(z), z > 0."""
+    from scipy.special import spherical_jn, spherical_yn
+
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0):
         raise ValueError("argument must be positive")

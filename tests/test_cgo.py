@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from emiscat import cgo
 from emiscat.cgo import (
@@ -55,6 +54,12 @@ def q_matrix(pot):
         q[i, i] += pot.k2q_helm
         q[i + 3, i + 3] = pot.k2q
     return q
+
+
+def potential(n, m_grid=16):
+    """The ``Potential`` of ``n`` on the CGO cube of ``m_grid`` points."""
+    med = MediumFields(n, R_CGO, m_grid)
+    return Potential(med, KAPPA, *cgo._derivatives(med))
 
 
 def shifted_gradient(op, f):
@@ -255,7 +260,7 @@ class TestMediumFields:
 
     def test_q_matrix_matches_action(self):
         n = bump_medium(n_grid=16)
-        pot = Potential(MediumFields(n, R_CGO, 16), KAPPA)
+        pot = potential(n)
         q = q_matrix(pot)
         rng = np.random.default_rng(2)
         A = rng.standard_normal((3, 16, 16, 16)) + 0j
@@ -269,7 +274,7 @@ class TestMediumFields:
     def test_q_bound_dominates(self):
         # the explicit matrix stays below the generic spectral-norm bound
         n = bump_medium(n_grid=16)
-        q = q_matrix(Potential(MediumFields(n, R_CGO, 16), KAPPA))
+        q = q_matrix(potential(n))
         spectral = np.linalg.norm(np.moveaxis(q, (0, 1), (-2, -1))
                                   .reshape(-1, 6, 6), ord=2, axis=(1, 2))
         lm_cm = 2.0  # a crude admissible-class constant for this medium
@@ -307,17 +312,17 @@ class TestCgoSolve:
         assert sol.residual < 1e-3
 
     def test_transform_count(self, monkeypatch):
-        # the potential 18 volumes, right-hand side 12, each Neumann sweep
-        # 12, the extraction 2 and the two residual curls 12
+        # the derivative fields 18 volumes, right-hand side 12, each
+        # Neumann sweep 12, the extraction 2 and the two residual curls 12
         n = bump_medium(n_grid=16)
         volumes = []
         for name in ("fftn", "ifftn"):
-            def counted(x, *args, _fft=getattr(scipy.fft, name), **kwargs):
+            def counted(x, axes, _fft=getattr(cgo, name)):
                 assert x.size % 16**3 == 0
                 volumes.append(x.size // 16**3)
-                return _fft(x, *args, **kwargs)
+                return _fft(x, axes)
 
-            monkeypatch.setattr(scipy.fft, name, counted)
+            monkeypatch.setattr(cgo, name, counted)
         zeta, eta = axis_aligned_zeta(12.0)
         sol = cgo_solve(n, zeta, eta, R_CGO, KAPPA, 16)
         assert sol.iterations == len(sol.contraction) + 1

@@ -2,8 +2,12 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,6 +444,29 @@ m_grid = 24
         rot = np.array(summary["rotation"])
         assert np.max(np.abs(rot.T @ zeta - want)) <= 1e-12
         assert (out / "cgo_u.fld").exists() and (out / "cgo_h.fld").exists()
+
+    def test_cgo_run_loads_no_scipy(self, tmp_path):
+        # the CGO transforms run on numpy, whatever --threads asks for
+        cfg = write_config(tmp_path / "c.ini", BASE + BUMP + """
+[cgo]
+gamma = 1,0,0
+t = 25.0
+m_grid = 16
+""")
+        args = ["cgo", "--config", cfg, "--out", str(tmp_path / "o"),
+                "--threads", "2"]
+        code = (f"import sys\nfrom emiscat.cli import main\n"
+                f"assert main({args!r}) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        proc = subprocess.run([sys.executable, "-c", code], timeout=120,
+                              env={**os.environ,
+                                   "PYTHONPATH": os.pathsep.join(path)},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert_manifest_complete(tmp_path / "o")
 
     def test_cgo_needs_parameters(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", BASE + BUMP)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,8 +11,10 @@ from emiscat.fourier import (
     SobolevParams,
     UNITARY_FACTOR,
     embedding_constant,
+    fftn,
     fourier_coeffs,
     hm_norm,
+    ifftn,
     inverse_fourier,
     make_test_index,
 )
@@ -55,6 +58,34 @@ class TestFourierCoeffs:
     def test_dimension_mismatch(self, grid):
         with pytest.raises(ValueError):
             fourier_coeffs(np.ones((8, 8, 8)), grid)
+
+    def test_argument_unchanged(self, grid):
+        f = random_smooth_bump(grid).astype(complex)
+        kept = f.copy()
+        c = fourier_coeffs(f, grid)
+        assert np.array_equal(f, kept)
+        kept = c.copy()
+        inverse_fourier(c, grid)
+        assert np.array_equal(c, kept)
+
+
+class TestInPlaceTransforms:
+    """fftn and ifftn reproduce scipy.fft bit for bit, in place."""
+
+    @pytest.mark.parametrize("shape, axes", [
+        ((3, 16, 16, 16), (-3, -2, -1)),  # a component-first batch
+        ((3, 48, 48, 48), (-3, -2, -1)),
+        ((6, 20), (1,)),  # one axis alone
+        ((27, 55), (0, 1)),  # odd 11-smooth lengths
+    ])
+    def test_match_scipy(self, shape, axes):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for ours, theirs in ((fftn, scipy.fft.fftn),
+                             (ifftn, scipy.fft.ifftn)):
+            y = x.copy()
+            assert ours(y, axes) is y
+            assert np.array_equal(y, theirs(x, axes=axes))
 
 
 class TestHmNorm:
