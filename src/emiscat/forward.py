@@ -22,7 +22,12 @@ adjoint: the adjoint potential, and the field off the box
 (:meth:`ScatteringSolver.grid_field`), run on the whole grid's (2N)^3
 lattice.  Fields, GMRES vectors and densities live on the box nodes, with
 the medium's own (q, p).  The transforms run in place on work buffers each
-solver allocates once, so a solver serves one caller at a time.
+solver allocates once, so a solver serves one caller at a time.  On a box,
+the four densities q E_c and p.E of a potential share one batch buffer of
+four lattice volumes and are transformed together: 6 scipy.fft calls per
+potential, one per axis each way.  The box kernels are built from the
+symbol one (2N)^2 slab at a time, so the (2N)^3 symbol is formed only for
+the whole grid.
 
 Every solve, forward or adjoint, runs the module's own restarted GMRES,
 step for step scipy's, at the module constants ``GMRES_RTOL``,
@@ -173,6 +178,8 @@ BOX_MARGIN = 3
 # GMRES relative residual, restart length and Arnoldi-step limit of every
 # solve: at most GMRES_MAXITER // GMRES_RESTART restart cycles
 GMRES_RTOL, GMRES_RESTART, GMRES_MAXITER = 1e-8, 50, 2000
+# rows the GMRES basis starts with and grows by
+_BASIS_ROWS = 8
 
 
 def _givens(f, g):
@@ -204,6 +211,12 @@ def _gmres(matvec, b, x0=None, context=None):
     GMRES_RTOL ||b||.  So the last call to ``matvec`` is at the returned x,
     also for b = 0, whose one matvec is at x = 0.
 
+    ``matvec`` returns a new array, which the Arnoldi step orthogonalizes
+    in place.  The basis is the rows of one array, started at _BASIS_ROWS
+    rows and grown by as many in place once they are all taken, and the
+    update x += y V multiplies a view of it, so a cycle holds its basis
+    once.
+
     On failure raises :class:`SolveError` naming the matvecs made and the
     relative true residual reached, with the Arnoldi estimates relative to
     ||b||, one per step, and ``context``."""
@@ -225,8 +238,9 @@ def _gmres(matvec, b, x0=None, context=None):
     cycles = GMRES_MAXITER // GMRES_RESTART
     while rnorm > atol and cycles:
         cycles -= 1
-        r *= 1 / rnorm
-        v = [r]  # the Krylov basis, grown by one vector per step
+        v = np.empty((min(_BASIS_ROWS, restart + 1), b.size), dtype=complex)
+        np.multiply(r, 1 / rnorm, out=v[0])
+        del r
         s = np.zeros(restart + 1, dtype=complex)
         s[0] = rnorm
         rotations, breakdown = [], False
@@ -239,7 +253,6 @@ def _gmres(matvec, b, x0=None, context=None):
                 w -= h[k, col] * v[k]
             h1 = np.linalg.norm(w)
             h[col + 1, col] = h1
-            v.append(w)
             if h1 <= eps * h0:  # the Krylov space holds the solution
                 h[col + 1, col] = 0
                 breakdown = True
@@ -257,6 +270,10 @@ def _gmres(matvec, b, x0=None, context=None):
             residuals.append(presid / bnorm)
             if presid <= ptol or breakdown:
                 break
+            if col + 1 == len(v):  # no view of v is alive here
+                v.resize((min(len(v) + _BASIS_ROWS, restart + 1), b.size),
+                         refcheck=False)
+            v[col + 1] = w
         # back substitution on the triangle; a zero last pivot drops its row
         if h[col, col] == 0:
             s[col] = 0
@@ -267,8 +284,8 @@ def _gmres(matvec, b, x0=None, context=None):
                 y[:k] -= y[k] * h[:k, k]
         if y[0] != 0:
             y[0] /= h[0, 0]
-        x += y @ np.array(v[:col + 1])
-        del v  # not held through the true-residual matvec
+        x += y @ v[:col + 1]
+        del v, w  # not held through the true-residual matvec
         r = b - matvec(x)
         rnorm = np.linalg.norm(r)
         matvecs += 1
@@ -323,32 +340,37 @@ def _in_place(transform, view, ax):
 
 
 def _corner(buf, ext, full=()):
-    """View of ``buf`` spanning the axes in ``full`` and the first
-    ``ext[ax]`` points along the others."""
-    return buf[tuple(slice(None) if ax in full else slice(0, ext[ax])
-                     for ax in range(3))]
+    """View of ``buf`` spanning its leading (batch) axes and, of its last
+    three, the axes in ``full``, and the first ``ext[ax]`` points along the
+    others."""
+    return buf[(...,) + tuple(slice(None) if ax in full else slice(0, ext[ax])
+                              for ax in range(3))]
 
 
 def _fft_passes(buf, ext, axes, full=()):
-    """Padded FFT in place along ``axes`` of the data in ``buf``'s corner of
-    extent ``ext``, each pass over the lines that reach it (``full`` and the
-    axes done so far span the lattice), its pad zeroed just before."""
+    """Padded FFT in place along ``axes`` (of the last three) of the data in
+    ``buf``'s corner of extent ``ext``, each pass over the lines that reach
+    it (``full`` and the axes done so far span the lattice), its pad zeroed
+    just before; one call per axis for every field of the leading axes."""
     import scipy.fft
 
     for ax in axes:
         full += (ax,)
         view = _corner(buf, ext, full)
-        view[(slice(None),) * ax + (slice(ext[ax], None),)] = 0
-        _in_place(scipy.fft.fftn, view, ax)
+        pad = (slice(None),) * ax + (slice(ext[ax], None),)
+        view[(...,) + pad + (slice(None),) * (2 - ax)] = 0
+        _in_place(scipy.fft.fftn, view, ax - 3)
 
 
 def _ifft_passes(buf, ext, axes, full=(0, 1, 2)):
-    """Inverse FFT along ``axes`` of ``buf``'s view spanning ``full``, in
-    place over the lines the crop to ``ext`` keeps; returns it so cropped."""
+    """Inverse FFT along ``axes`` (of the last three) of ``buf``'s view
+    spanning ``full``, in place over the lines the crop to ``ext`` keeps,
+    one call per axis for every field of the leading axes; returns the view
+    so cropped."""
     import scipy.fft
 
     for ax in axes:
-        _in_place(scipy.fft.ifftn, _corner(buf, ext, full), ax)
+        _in_place(scipy.fft.ifftn, _corner(buf, ext, full), ax - 3)
         full = tuple(a for a in full if a != ax)
     return _corner(buf, ext, full)
 
@@ -425,21 +447,31 @@ class _Convolution:
 
     The kernels are the samples K = IFFT(symbol) and G_c = IFFT(i k_c
     symbol) on the (2N)^3 lattice of the whole grid, taken by pruned
-    inverse passes at the offsets x - y within the box only.  They are laid
+    inverse passes at the offsets x - y within the box only.  The symbol is
+    gathered one (2N)^2 slab across axes 0 and 1 at a time from
+    ``values``, its values at |k|^2 = s/4 for s = 0..3N^2, by s = |j|^2,
+    with ``j2`` the squares of the lattice indices along an axis (as
+    :attr:`ScatteringSolver.symbol` gathers the whole cube); each slab is
+    inverted and cut to the offsets along those two axes, so the (2N)^3
+    symbol is never formed.  The samples are laid
     out circularly on a lattice of L_a = next_fast_len(2 S_a - 1) points
     per axis (S_a box nodes), where no two kept offsets meet, and one FFT
-    turns each into the spectrum the potential multiplies.  Data enter at
-    the lattice's corner and leave from it, so the result is the whole
-    grid's potential with the sources zeroed outside the box, read on the
-    box.  Forward transforms run one axis at a time over the lines that
-    reach the data, inverse ones over the lines the crop keeps (axis 2, of
-    contiguous lines, over the full lattice), in place in work buffers
-    allocated once."""
+    turns each into the spectrum the potential multiplies.
 
-    def __init__(self, symbol, kappa, box):
+    Data enter at the lattice's corner and leave from it, so the result is
+    the whole grid's potential with the sources zeroed outside the box,
+    read on the box.  A potential transforms its four densities q E_c and
+    p.E as one batch in a (4, L_0, L_1, L_2) buffer: one forward pass per
+    axis over the lines that reach the data, then one inverse pass per axis
+    over the three components, over the lines the crop keeps (axis 2, of
+    contiguous lines, over the full lattice), so 6 scipy.fft calls in all.
+    The solver holds the four spectra, that buffer and one lattice of work,
+    9 lattice volumes, allocated once."""
+
+    def __init__(self, values, j2, kappa, box):
         import scipy.fft
 
-        M = symbol.shape[0]
+        M = j2.size
         self.ext = tuple(s.stop - s.start for s in box)
         shape = tuple(scipy.fft.next_fast_len(2 * a - 1) for a in self.ext)
         # offsets x - y along each axis run over -(S - 1)..S - 1; the
@@ -450,9 +482,13 @@ class _Convolution:
         def ifft_at(x, ax):
             return np.take(scipy.fft.ifftn(x, axes=(ax,)), span, axis=ax)
 
+        # s = |j|^2 across axes 0 and 1; slab j_2 adds j_2^2
+        plane = j2[:, None] + j2[None, :]
+        half = np.empty((span.size, span.size, M), dtype=complex)
+        for k, j2k in enumerate(j2):
+            half[..., k] = ifft_at(ifft_at(values[plane + j2k], 0), 1)
         # the symbol depends on |k| alone, so G_0 and G_1 are G_2 with its
         # axis 2 swapped for axis 0 or 1; k = j/2 on the lattice
-        half = ifft_at(ifft_at(symbol, 0), 1)
         g2 = ifft_at(0.5j * np.r_[:M // 2, -(M // 2):0] * half, 2)
         samples = (ifft_at(half, 2), g2.transpose(2, 1, 0),
                    g2.transpose(0, 2, 1), g2)
@@ -467,23 +503,25 @@ class _Convolution:
         self.spectra = [scipy.fft.fftn(k[keep], s=shape) * phase
                         for k in samples]
         self.spectra[0] *= -kappa**2  # K carries the -kappa^2 of q E
-        self._cube, self._spec, self._work = (
-            np.empty(shape, dtype=complex) for _ in range(3))
+        self._batch = np.empty((4,) + shape, dtype=complex)
+        self._work = np.empty(shape, dtype=complex)
 
     def potential(self, e, q, p):
         """-kappa^2 K * (q E) + grad K * (p.E) on the box."""
-        cube, spec, work, ext = self._cube, self._spec, self._work, self.ext
-        mk = self.spectra[0]
-        _corner(spec, ext)[...] = np.einsum("...c,...c->...", p, e)
-        _fft_passes(spec, ext, (0, 1, 2))
-        out = np.empty(ext + (3,), dtype=complex)
+        batch, work, ext = self._batch, self._work, self.ext
+        data = _corner(batch, ext)
         for c in range(3):
-            np.multiply(q, e[..., c], out=_corner(cube, ext))
-            _fft_passes(cube, ext, (0, 1, 2))
-            cube *= mk
+            np.multiply(q, e[..., c], out=data[c])
+        data[3] = np.einsum("...c,...c->...", p, e)
+        _fft_passes(batch, ext, (0, 1, 2))
+        mk, spec = self.spectra[0], batch[3]
+        for c in range(3):
+            batch[c] *= mk
             np.multiply(self.spectra[c + 1], spec, out=work)
-            cube += work
-            out[..., c] = _ifft_passes(cube, ext, (2, 1, 0))
+            batch[c] += work
+        out = np.empty(ext + (3,), dtype=complex)
+        for c, field in enumerate(_ifft_passes(batch[:3], ext, (2, 1, 0))):
+            out[..., c] = field
         return out
 
 
@@ -507,11 +545,11 @@ class ScatteringSolver:
         self.pts = grid.points()[self.box]
         # contrast and spectral derivative of n (exact for the interpolant)
         self.q = 1.0 - n.values[self.box]
-        f1, f2, f3 = grid.frequencies()
-        grad = np.empty((N, N, N, 3), dtype=complex)
-        for c, f in enumerate((f1, f2, f3)):
-            grad[..., c] = inverse_fourier(1j * f * n.coeffs, grid)
-        self.p = grad[self.box] / n.values[self.box][..., None]
+        # p = grad(n)/n, one whole-grid component of grad(n) at a time
+        self.p = np.empty(self.shape + (3,), dtype=complex)
+        for c, f in enumerate(grid.frequencies()):
+            np.divide(inverse_fourier(1j * f * n.coeffs, grid)[self.box],
+                      n.values[self.box], out=self.p[..., c])
         self._scatters = bool(np.any(self.q) or np.any(self.p))
         # quadrature nodes of the data maps: the contrast lives in B(pi), and
         # derivative pairings need every node a perturbation may reach
@@ -519,7 +557,16 @@ class ScatteringSolver:
         self._map = None  # (geometry key, ReceiverMap) of the last call
         self._conv = (_GridConvolution(self.symbol, self.kappa)
                       if self.shape == (N,) * 3 else
-                      _Convolution(self.symbol, self.kappa, self.box))
+                      _Convolution(*self._radial_symbol(), self.kappa,
+                                   self.box))
+
+    def _radial_symbol(self):
+        """The symbol's values at |k|^2 = s/4 for s = 0..3N^2, and the
+        squares j^2 of the lattice indices along an axis, FFT layout."""
+        N = self.N
+        return (truncated_kernel_symbol(np.sqrt(np.arange(3 * N * N + 1) / 4.0),
+                                        self.kappa, 2.0 * np.pi),
+                np.r_[:N, -N:0] ** 2)
 
     @property
     def symbol(self):
@@ -527,11 +574,8 @@ class ScatteringSolver:
         grid, FFT layout: k = j/2 with integer j, so |k|^2 = s/4 for the
         integer s = |j|^2 <= 3N^2, and the symbol is evaluated once per s
         and gathered."""
-        N = self.N
-        j2 = np.r_[:N, -N:0] ** 2
-        s = j2[:, None, None] + j2[None, :, None] + j2[None, None, :]
-        return truncated_kernel_symbol(np.sqrt(np.arange(3 * N * N + 1) / 4.0),
-                                       self.kappa, 2.0 * np.pi)[s]
+        values, j2 = self._radial_symbol()
+        return values[j2[:, None, None] + j2[None, :, None] + j2[None, None, :]]
 
     def potential(self, e):
         """-kappa^2 conv(Phi, q E) + grad conv(Phi, p.E) on the box, with
@@ -560,7 +604,8 @@ class ScatteringSolver:
 
     def _matvec(self, flat):
         e = flat.reshape(self.shape + (3,))
-        return (e - self.potential(e)).ravel()
+        out = self.potential(e)
+        return np.subtract(e, out, out=out).ravel()
 
     def solve(self, source, context=None) -> np.ndarray:
         """Total electric field on the box nodes, (S1, S2, S3, 3), for the

@@ -353,7 +353,7 @@ class TestCgoSolve:
         assert all(r > 1.0 for r in err.value.contraction)
 
     def test_pair_memory(self):
-        # one pairing at m_grid = 32 peaks at about 50 cube volumes of m^3
+        # one pairing at m_grid = 32 peaks at about 45 cube volumes of m^3
         # complex numbers; holding both whole solutions and every medium
         # field to the end took 80
         m = 32
