@@ -23,11 +23,10 @@ adjoint: the adjoint potential, and the field off the box
 lattice.  Fields, GMRES vectors and densities live on the box nodes, with
 the medium's own (q, p).  The transforms run in place on work buffers each
 solver allocates once, so a solver serves one caller at a time.  On a box,
-the four densities q E_c and p.E of a potential share one batch buffer of
-four lattice volumes and are transformed together: 6 scipy.fft calls per
-potential, one per axis each way.  The box kernels are built from the
-symbol one (2N)^2 slab at a time, so the (2N)^3 symbol is formed only for
-the whole grid.
+the four densities q E_c and p.E of a potential are transformed together,
+one scipy.fft call per axis each way (axes 1 and 2 once per block of
+axis-0 slabs).  The box kernels are built from the symbol one (2N)^2 slab
+at a time, so the (2N)^3 symbol is formed only for the whole grid.
 
 Every solve, forward or adjoint, runs the module's own restarted GMRES,
 step for step scipy's, at the module constants ``GMRES_RTOL``,
@@ -47,6 +46,7 @@ columns through one :class:`DataColumns`.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,6 +180,10 @@ BOX_MARGIN = 3
 GMRES_RTOL, GMRES_RESTART, GMRES_MAXITER = 1e-8, 50, 2000
 # rows the GMRES basis starts with and grows by
 _BASIS_ROWS = 8
+# bytes from which numpy advises huge pages on an array (4 MiB)
+_HUGE = 1 << 22
+# lattice points per field of a block of the box potential (1 MiB complex)
+_BLOCK = 1 << 16
 
 
 def _givens(f, g):
@@ -200,6 +204,30 @@ def _givens(f, g):
             complex(f.real / c, f.imag / c))
 
 
+def _basis_rows(rows, n, v=None):
+    """``rows`` uninitialized rows of n complex values for a GMRES basis,
+    after the rows of ``v`` when given, which the result replaces.
+
+    numpy advises transparent huge pages on the arrays it allocates of
+    _HUGE bytes and more; where the kernel grants them, a partly written
+    array is resident up to its next 2 MiB, so a basis, whose rows are
+    written one per step, would take more or less memory by the machine's
+    free huge pages.  A basis that large is mapped from private anonymous
+    memory of its own, resident only as far as it is written, and grows by
+    a copy.  A smaller one is a numpy array, grown in place, whose memory
+    the allocator reuses from solve to solve without new page faults."""
+    if rows * n * 16 < _HUGE:
+        if v is None:
+            return np.empty((rows, n), dtype=complex)
+        v.resize((rows, n), refcheck=False)  # no view of v is alive
+        return v
+    buf = mmap.mmap(-1, rows * n * 16, flags=mmap.MAP_PRIVATE)
+    grown = np.frombuffer(buf, dtype=complex).reshape(rows, n)
+    if v is not None:
+        grown[:len(v)] = v
+    return grown
+
+
 def _gmres(matvec, b, x0=None, context=None):
     """Restarted GMRES (Saad & Schultz 1986) for matvec(x) = b, step for
     step as scipy.sparse.linalg.gmres without a preconditioner: MGS Arnoldi
@@ -212,10 +240,10 @@ def _gmres(matvec, b, x0=None, context=None):
     also for b = 0, whose one matvec is at x = 0.
 
     ``matvec`` returns a new array, which the Arnoldi step orthogonalizes
-    in place.  The basis is the rows of one array, started at _BASIS_ROWS
-    rows and grown by as many in place once they are all taken, and the
-    update x += y V multiplies a view of it, so a cycle holds its basis
-    once.
+    in place.  The basis is the rows of one array from
+    :func:`_basis_rows`, started at _BASIS_ROWS rows and grown by as many
+    once they are all taken, and the update x += y V multiplies a view of
+    it, so a cycle holds its basis once.
 
     On failure raises :class:`SolveError` naming the matvecs made and the
     relative true residual reached, with the Arnoldi estimates relative to
@@ -238,7 +266,7 @@ def _gmres(matvec, b, x0=None, context=None):
     cycles = GMRES_MAXITER // GMRES_RESTART
     while rnorm > atol and cycles:
         cycles -= 1
-        v = np.empty((min(_BASIS_ROWS, restart + 1), b.size), dtype=complex)
+        v = _basis_rows(min(_BASIS_ROWS, restart + 1), b.size)
         np.multiply(r, 1 / rnorm, out=v[0])
         del r
         s = np.zeros(restart + 1, dtype=complex)
@@ -270,9 +298,9 @@ def _gmres(matvec, b, x0=None, context=None):
             residuals.append(presid / bnorm)
             if presid <= ptol or breakdown:
                 break
-            if col + 1 == len(v):  # no view of v is alive here
-                v.resize((min(len(v) + _BASIS_ROWS, restart + 1), b.size),
-                         refcheck=False)
+            if col + 1 == len(v):
+                v = _basis_rows(min(len(v) + _BASIS_ROWS, restart + 1),
+                                b.size, v)
             v[col + 1] = w
         # back substitution on the triangle; a zero last pivot drops its row
         if h[col, col] == 0:
@@ -461,12 +489,17 @@ class _Convolution:
     Data enter at the lattice's corner and leave from it, so the result is
     the whole grid's potential with the sources zeroed outside the box,
     read on the box.  A potential transforms its four densities q E_c and
-    p.E as one batch in a (4, L_0, L_1, L_2) buffer: one forward pass per
-    axis over the lines that reach the data, then one inverse pass per axis
-    over the three components, over the lines the crop keeps (axis 2, of
-    contiguous lines, over the full lattice), so 6 scipy.fft calls in all.
-    The solver holds the four spectra, that buffer and one lattice of work,
-    9 lattice volumes, allocated once."""
+    p.E as one batch: one forward pass per axis over the lines that reach
+    the data, then one inverse pass per axis over the three components,
+    over the lines the crop keeps (axis 2, of contiguous lines, over the
+    full lattice).  Axis 0 runs on a (4, L_0, S_1, S_2) batch.  Axes 1 and
+    2, which stay within an axis-0 slab, run on blocks of slabs of at most
+    _BLOCK points per field (one slab at least) in a (4, rows, L_1, L_2)
+    buffer, where the spectra multiply; so the solver holds the four
+    spectra and not four more lattice volumes, and its memory grows less
+    with the box.  A lattice of at most _BLOCK points is one block, of which
+    the batch is a view: 6 scipy.fft calls per potential, 2 + 4 per block
+    otherwise."""
 
     def __init__(self, values, j2, kappa, box):
         import scipy.fft
@@ -503,8 +536,12 @@ class _Convolution:
         self.spectra = [scipy.fft.fftn(k[keep], s=shape) * phase
                         for k in samples]
         self.spectra[0] *= -kappa**2  # K carries the -kappa^2 of q E
-        self._batch = np.empty((4,) + shape, dtype=complex)
-        self._work = np.empty(shape, dtype=complex)
+        rows = max(1, min(shape[0], _BLOCK // (shape[1] * shape[2])))
+        self._block = np.empty((4, rows) + shape[1:], dtype=complex)
+        self._work = np.empty((rows,) + shape[1:], dtype=complex)
+        self._batch = (_corner(self._block, self.ext, (0,))
+                       if rows == shape[0] else
+                       np.empty((4, shape[0]) + self.ext[1:], dtype=complex))
 
     def potential(self, e, q, p):
         """-kappa^2 K * (q E) + grad K * (p.E) on the box."""
@@ -513,14 +550,26 @@ class _Convolution:
         for c in range(3):
             np.multiply(q, e[..., c], out=data[c])
         data[3] = np.einsum("...c,...c->...", p, e)
-        _fft_passes(batch, ext, (0, 1, 2))
-        mk, spec = self.spectra[0], batch[3]
-        for c in range(3):
-            batch[c] *= mk
-            np.multiply(self.spectra[c + 1], spec, out=work)
-            batch[c] += work
+        _fft_passes(batch, ext, (0,))
+        mk, rows = self.spectra[0], len(work)
+        split = batch.base is not self._block  # more than one block
+        for lo in range(0, len(mk), rows):
+            slabs = slice(lo, lo + rows)
+            block = self._block[:, :len(mk[slabs])]
+            if split:
+                _corner(block, ext, (0,))[...] = batch[:, slabs]
+            _fft_passes(block, ext, (1, 2), full=(0,))
+            tmp, spec = work[:len(block[3])], block[3]
+            for c in range(3):
+                np.multiply(self.spectra[c + 1][slabs], spec, out=tmp)
+                block[c] *= mk[slabs]
+                block[c] += tmp
+            crop = _ifft_passes(block[:3], ext, (2, 1))
+            if split:
+                batch[:3, slabs] = crop
         out = np.empty(ext + (3,), dtype=complex)
-        for c, field in enumerate(_ifft_passes(batch[:3], ext, (2, 1, 0))):
+        for c, field in enumerate(_ifft_passes(batch[:3], ext, (0,),
+                                               full=(0,))):
             out[..., c] = field
         return out
 

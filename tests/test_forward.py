@@ -546,18 +546,23 @@ class TestKrylov:
         assert len(calls) == 6
         assert solver.residual(e, pw) < 1e-7
 
-    def test_basis_held_once(self, monkeypatch):
-        # the basis is one array grown in place, a block of rows at a time,
-        # and the update multiplies a view of it: a solve's traced peak
-        # stays under one vector per matvec plus a few (the block's spare
-        # rows, x, b, the last Arnoldi vector, the potential's output),
-        # where a copy of the basis at the update would double it (about 2
-        # per matvec)
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_basis_held_once(self, monkeypatch, mapped):
+        # the basis is one array grown a block of rows at a time, and the
+        # update multiplies a view of it, where a copy of the basis would
+        # add about one traced vector per matvec.  A numpy basis, grown in
+        # place, keeps the solve's traced peak under one vector per matvec
+        # plus a few (the block's spare rows, x, b, the last Arnoldi
+        # vector, the potential's output).  A mapped one (every basis here,
+        # with _HUGE = 0) is not traced, and the rest stays under a few;
+        # it gives the numpy basis's solution bit for bit.
         grid = CubeGrid(np.pi, 16)
         solver = ScatteringSolver(bump_medium(grid, amplitude=1.0), 4.0)
         pw = PlaneWave(np.array([0.0, 0.6, 0.8]), np.array([1.0, 0.0, 0.0]),
                        4.0)
-        solver.solve(pw)  # first call: plans and caches outside the trace
+        want = solver.solve(pw)  # plans and caches outside the trace
+        if mapped:
+            monkeypatch.setattr(forward, "_HUGE", 0)
         calls = []
         matvec = ScatteringSolver._matvec
 
@@ -568,13 +573,14 @@ class TestKrylov:
         monkeypatch.setattr(ScatteringSolver, "_matvec", counted)
         tracemalloc.start()
         try:
-            solver.solve(pw)
+            got = solver.solve(pw)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         vector = np.prod(solver.shape) * 3 * 16
         assert len(calls) >= 20  # the basis outgrows its first rows
-        assert peak < (len(calls) + 8) * vector
+        assert peak < (8 if mapped else len(calls) + 8) * vector
+        assert np.array_equal(got, want)
 
 
 def _random(rng, shape):
@@ -898,6 +904,25 @@ class TestBatchedPasses:
         e = _random(np.random.default_rng(14), solver.shape + (3,))
         solver.potential(e)
         assert len(calls) == 6
+
+    def test_blocks_match_one_block(self, monkeypatch):
+        # axes 1 and 2 run on blocks of 4 axis-0 slabs: the same bits as
+        # one block holding the lattice, in 2 + 4 calls per block
+        solver = two_path_solver("box")
+        e = _random(np.random.default_rng(15), solver.shape + (3,))
+        want = solver.potential(e)
+        shape = solver._conv.spectra[0].shape
+        monkeypatch.setattr(forward, "_BLOCK", 4 * shape[1] * shape[2] + 1)
+        solver = two_path_solver("box")
+        calls = []
+        for name in ("fftn", "ifftn"):
+            def counted(*args, _transform=getattr(scipy.fft, name),
+                        **kwargs):
+                calls.append(_transform)
+                return _transform(*args, **kwargs)
+            monkeypatch.setattr(scipy.fft, name, counted)
+        assert np.array_equal(solver.potential(e), want)
+        assert len(calls) == 2 + 4 * -(-shape[0] // 4)
 
 
 def oracle_box_spectra(solver):
