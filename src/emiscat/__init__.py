@@ -17,8 +17,8 @@ _HOMES = {
                 "UNITARY_FACTOR", "embedding_constant", "fourier_coeffs",
                 "hm_inner", "hm_norm", "inverse_fourier", "make_test_index"),
     "forward": ("DipoleSource", "FarFieldData", "NearFieldData", "PlaneWave",
-                "ScatteringSolver", "SphereGrid", "far_field_operator",
-                "near_field_operator"),
+                "ScatteringSolver", "SphereGrid", "far_field_coeffs",
+                "far_field_operator", "near_field_operator"),
     "cgo": ("CgoSolution", "FaddeevOperator", "cgo_solve", "cgo_vectors",
             "q_bound", "t_min"),
     "spherical": ("FarCoeffs", "far_coeffs", "near_from_far"),
@@ -63,6 +63,7 @@ __all__ = [
     "data_diff_norm",
     "embedding_constant",
     "far_coeffs",
+    "far_field_coeffs",
     "far_field_operator",
     "fourier_coeffs",
     "highfreq_tail",

@@ -28,6 +28,7 @@ from .forward import (
     PlaneWave,
     ScatteringSolver,
     SphereGrid,
+    far_field_coeffs,
     far_field_operator,
     near_field_operator,
     support_box,
@@ -48,7 +49,7 @@ from .inversion import (
     rate_study,
     tikhonov_reconstruct,
 )
-from .spherical import far_coeffs, near_from_far
+from .spherical import near_from_far
 from .vsc import data_diff_norm, vsc_check
 
 
@@ -429,8 +430,7 @@ def run_near2far(cfg, medium, ws: Workspace):
     n_theta = L + 1
     n_phi = 2 * L + 1
     unit = SphereGrid.build(1.0, n_theta, n_phi)
-    far = far_field_operator(medium, cfg.kappa, unit, unit)
-    coeffs = far_coeffs(far, L)
+    coeffs = far_field_coeffs(medium, cfg.kappa, unit, unit, L)
     ws.write("far_coeffs.alf", containers.write_far_coeffs, coeffs)
     # compare the series reconstruction on 2R with direct near data
     eval_pts = SphereGrid.build(2.0 * cfg.R, cfg.n_theta, cfg.n_phi)

@@ -41,17 +41,26 @@ pipeline, the CGO one too) loads no scipy.
 Near- and far-field data operators assemble the 3x3 matrix responses to
 dipole and plane-wave excitations on measurement spheres.  Both, and the
 inversion, measure fields through one :class:`ReceiverMap` and lay out data
-columns through one :class:`DataColumns`.
+columns through one :class:`DataColumns`.  The far data are linear in the
+incident field, so their harmonic coefficients (:func:`far_field_coeffs`)
+take one solve per harmonic of the incidence side and Cartesian axis, each
+for a Herglotz field, the incidence quadrature's sum of the plane waves
+weighted by conj(Y_b(d)): 3 (L+1)^2 solves instead of two per incidence
+direction.
 """
 
 from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .fourier import BumpProfile, CubeGrid, RefractiveIndex, inverse_fourier
+
+if TYPE_CHECKING:  # annotations only: spherical loads on first use
+    from .spherical import FarCoeffs
 
 
 class SolveError(RuntimeError):
@@ -133,6 +142,36 @@ class PlaneWave:
     def electric(self, points):
         phase = np.exp(1j * self.kappa * np.asarray(points) @ self.d)
         return phase[..., None] * self.q
+
+
+class HerglotzWave:
+    """Superposition sum_d g_d d x (p x d) exp(i kappa d.x) of plane waves
+    in the unit directions ``dirs`` (n_d, 3), with complex weights
+    ``density`` (n_d,) and polarization ``p`` projected transverse to each
+    direction."""
+
+    def __init__(self, dirs, density, p, kappa):
+        self.dirs = np.asarray(dirs, dtype=float)
+        self.density = np.asarray(density, dtype=complex)
+        self.p = np.asarray(p, dtype=complex)
+        self.kappa = float(kappa)
+
+    def electric(self, points):
+        """The field on a tensor grid of points (S0, S1, S2, 3), as a box of
+        a :class:`CubeGrid` is, from the per-axis factors
+        exp(i kappa d_a x_a): no (n_d, S0 S1 S2) phase is formed, only
+        (n_d, S0 S1)."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 4:
+            raise ValueError("points must be a tensor grid (S0, S1, S2, 3)")
+        d = self.dirs
+        amps = self.density[:, None] * (self.p - d * (d @ self.p)[:, None])
+        axes = (points[:, 0, 0, 0], points[0, :, 0, 1], points[0, 0, :, 2])
+        f0, f1, f2 = (np.exp(1j * self.kappa * np.outer(d[:, a], x))
+                      for a, x in enumerate(axes))
+        plane = (f0[:, :, None] * f1[:, None, :]).reshape(len(d), -1)
+        line = (f2[:, :, None] * amps[:, None, :]).reshape(len(d), -1)
+        return (plane.T @ line).reshape(points.shape)
 
 
 def truncated_kernel_symbol(xi_norm, kappa, radius):
@@ -591,7 +630,11 @@ class ScatteringSolver:
         self.N = N
         self.box = support_box(n)
         self.shape = tuple(s.stop - s.start for s in self.box)
-        self.pts = grid.points()[self.box]
+        # built from the box's axes: a slice of grid.points() would keep the
+        # whole (N, N, N, 3) grid alive
+        x = grid.axis()
+        self.pts = np.stack(np.meshgrid(*(x[s] for s in self.box),
+                                        indexing="ij"), axis=-1)
         # contrast and spectral derivative of n (exact for the interpolant)
         self.q = 1.0 - n.values[self.box]
         # p = grad(n)/n, one whole-grid component of grad(n) at a time
@@ -899,6 +942,21 @@ class DataColumns:
         return cls([PlaneWave(d, t, kappa) for d, ts in zip(sphere.nodes, pols)
                     for t in ts], pols)
 
+    @classmethod
+    def herglotz(cls, incidences: SphereGrid, kappa: float,
+                 L: int) -> "DataColumns":
+        """One Herglotz wave per harmonic b = l^2 + l + k (l <= L) and axis
+        j, in slot j of column b: the incidence quadrature's sum
+        sum_d w_d conj(Y_b(d)) (I - d d^T) e_j exp(i kappa d.x).  By
+        linearity its far pattern is the d-projection onto Y_b of column j
+        of the plane-wave data on ``incidences``."""
+        from .spherical import harmonic_table
+
+        d, eye = incidences.nodes, np.eye(3)
+        coef = np.conj(harmonic_table(L, d)) * incidences.weights
+        return cls([HerglotzWave(d, c, e, kappa) for c in coef for e in eye],
+                   np.broadcast_to(eye, (len(coef), 3, 3)))
+
     def assemble(self, rows):
         """Data matrices (n_rec, n_columns, 3, 3, ...) from per-source rows
         (n_rec, 3, ...); trailing axes are carried along."""
@@ -936,3 +994,23 @@ def far_field_operator(n: RefractiveIndex, kappa: float, receivers: SphereGrid,
     mats = _solve_columns(solver, DataColumns.plane_waves(incidences, kappa),
                           lambda e: solver.far_pattern(e, receivers.nodes))
     return FarFieldData(receivers=receivers, incidences=incidences, matrices=mats)
+
+
+def far_field_coeffs(n: RefractiveIndex, kappa: float, receivers: SphereGrid,
+                     incidences: SphereGrid, L: int) -> FarCoeffs:
+    """Harmonic coefficients of the matrix far field in both directions, as
+    far_coeffs(far_field_operator(n, kappa, receivers, incidences), L) up
+    to GMRES tolerance, from 3 (L+1)^2 Herglotz solves
+    (:meth:`DataColumns.herglotz`) instead of 2 n_d plane-wave solves.
+    Each far pattern on ``receivers`` is projected onto conj(Y_a(xhat))
+    w_x as it is measured."""
+    from .spherical import FarCoeffs, check_degree, harmonic_table
+
+    check_degree(L, receivers, incidences)
+    solver = ScatteringSolver(n, kappa)
+    proj = np.conj(harmonic_table(L, receivers.nodes)) * receivers.weights
+    rows = _solve_columns(
+        solver, DataColumns.herglotz(incidences, kappa, L),
+        lambda e: proj @ solver.far_pattern(e, receivers.nodes))
+    # rows are indexed [i_xhat, i_d]; FarCoeffs stores [i_d, i_xhat]
+    return FarCoeffs(L=L, alpha=np.swapaxes(rows, 0, 1))

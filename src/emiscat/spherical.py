@@ -78,10 +78,15 @@ class FarCoeffs:
         return float(np.sum(np.abs(self.alpha) ** 2))
 
 
+def check_degree(L: int, *grids) -> None:
+    """Raise ValueError unless every direction grid resolves degree L."""
+    if any(grid.degree < L for grid in grids):
+        raise ValueError(f"direction grids cannot resolve degree L={L}")
+
+
 def far_coeffs(far: FarFieldData, L: int) -> FarCoeffs:
     """Project far-field data onto spherical harmonics in both variables."""
-    if far.receivers.degree < L or far.incidences.degree < L:
-        raise ValueError(f"direction grids cannot resolve degree L={L}")
+    check_degree(L, far.receivers, far.incidences)
     yx = harmonic_table(L, far.receivers.nodes)  # (n_lk, n_x)
     yd = harmonic_table(L, far.incidences.nodes)  # (n_lk, n_d)
     wx = far.receivers.weights

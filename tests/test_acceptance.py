@@ -29,7 +29,7 @@ from emiscat.forward import (
     PlaneWave,
     ScatteringSolver,
     SphereGrid,
-    far_field_operator,
+    far_field_coeffs,
     near_field_operator,
 )
 from emiscat.fourier import (
@@ -48,7 +48,7 @@ from emiscat.inversion import (
     band_limited_index,
     rate_study,
 )
-from emiscat.spherical import far_coeffs, near_from_far
+from emiscat.spherical import near_from_far
 from emiscat.vsc import (
     check_fourier_diff,
     data_diff_norm,
@@ -273,7 +273,7 @@ def test_09_near_field_recovered_from_far_field_series():
     ]
     rels = []
     for med in media:
-        coeffs = far_coeffs(far_field_operator(med, KAPPA, unit, unit), L)
+        coeffs = far_field_coeffs(med, KAPPA, unit, unit, L)
         direct = near_field_operator(med, KAPPA, src, receivers=rec)
         series = np.zeros_like(direct.matrices)
         for ix, x in enumerate(rec.points()):

@@ -18,6 +18,7 @@ from emiscat.forward import (
     SolveError,
     SphereGrid,
     background_green,
+    far_field_coeffs,
     far_field_operator,
     near_field_operator,
     support_box,
@@ -25,6 +26,7 @@ from emiscat.forward import (
 )
 from emiscat.fourier import BumpProfile, CubeGrid, RefractiveIndex, make_test_index
 from emiscat.inversion import ContrastMedium, band_limited_index
+from emiscat.spherical import far_coeffs, harmonic_table
 
 KAPPA = 1.0
 
@@ -239,6 +241,8 @@ class TestSupportBox:
             solver = ScatteringSolver(n, KAPPA)
             assert solver.box == box
             assert np.array_equal(solver.pts, grid.points()[box])
+            # its own memory: a view would keep the whole grid alive
+            assert solver.pts.base is None
 
     def test_whole_grid_media(self):
         grid = CubeGrid(np.pi, 24)
@@ -445,6 +449,68 @@ class TestFarFieldOperator:
             far_field_operator(bump_medium(grid), KAPPA, one, one)
         assert err.value.context == (0, 0)
         assert len(err.value.residuals) > 0
+
+
+class TestFarFieldCoeffs:
+    """Harmonic coefficients from one Herglotz solve per (harmonic, axis)."""
+
+    def test_matches_plane_wave_coeffs(self):
+        grid = CubeGrid(np.pi, 16)
+        n = bump_medium(grid)
+        L = 4
+        unit = SphereGrid.build(1.0, L + 1, 2 * L + 1)
+        want = far_coeffs(far_field_operator(n, KAPPA, unit, unit), L).alpha
+        got = far_field_coeffs(n, KAPPA, unit, unit, L).alpha
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+    def test_per_axis_field_matches_dense_sum(self):
+        # sum_d w_d conj(Y_b(d)) (I - d d^T) e_j exp(i kappa d.x) with the
+        # phase formed per point, on a box that is not a cube
+        L = 2
+        inc = SphereGrid.build(1.0, L + 1, 2 * L + 1)
+        pts = CubeGrid(np.pi, 16).points()[2:9, 4:8, 1:12]
+        cols = DataColumns.herglotz(inc, KAPPA, L)
+        d, w = inc.nodes, inc.weights
+        phase = np.exp(1j * KAPPA * pts @ d.T)  # (..., n_d)
+        ys = harmonic_table(L, d)
+        assert len(cols.sources) == 3 * (L + 1) ** 2
+        for src, (b, j) in zip(cols.sources, cols.labels):
+            amps = (w * np.conj(ys[b]))[:, None] * (np.eye(3)[j] - d * d[:, [j]])
+            want = phase @ amps
+            got = src.electric(pts)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_solve_count(self, monkeypatch):
+        calls = []
+        solve = ScatteringSolver.solve
+
+        def counted(self, source, context=None):
+            calls.append(context)
+            return solve(self, source, context)
+
+        monkeypatch.setattr(ScatteringSolver, "solve", counted)
+        L = 2
+        unit = SphereGrid.build(1.0, L + 1, 2 * L + 1)
+        far_field_coeffs(bump_medium(CubeGrid(np.pi, 8)), KAPPA, unit, unit, L)
+        assert calls == list(np.ndindex(((L + 1) ** 2, 3)))
+
+    def test_nonconvergence_context(self, monkeypatch):
+        # the first Herglotz solve fails, tagged with its (harmonic, axis);
+        # two directions off the axes, so that no field of degree 0 is zero
+        two = SphereGrid.build(1.0, 2, 1)
+        monkeypatch.setattr(forward, "GMRES_RTOL", 1e-30)
+        monkeypatch.setattr(forward, "GMRES_MAXITER", forward.GMRES_RESTART)
+        with pytest.raises(SolveError) as err:
+            far_field_coeffs(bump_medium(CubeGrid(np.pi, 8)), KAPPA, two, two,
+                             0)
+        assert err.value.context == (0, 0)
+        assert len(err.value.residuals) > 0
+
+    def test_insufficient_degree(self):
+        unit = SphereGrid.build(1.0, 3, 5)  # degree 4
+        n = bump_medium(CubeGrid(np.pi, 8))
+        with pytest.raises(ValueError, match="degree L=5"):
+            far_field_coeffs(n, KAPPA, unit, unit, 5)
 
 
 class TestKrylov:
