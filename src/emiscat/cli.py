@@ -463,9 +463,12 @@ def run(kind: str, config_path, out_dir=None, seed: int = 0,
         threads: int = 1) -> dict:
     """Execute one experiment with ``threads`` FFT workers.
 
-    The workers are ``scipy.fft``'s and serve the forward solver.  The
-    ``cgo`` pipeline calls no solver: its transforms run on numpy, which
-    has no workers, so it loads no scipy and ignores ``threads``."""
+    The workers are ``scipy.fft``'s and serve the forward solver: they run
+    its transforms, and a box potential of more than one block of slabs
+    also shares its blocks out over ``threads`` threads, which end with
+    the potential.  The ``cgo`` pipeline calls no solver: its transforms
+    run on numpy, which has no workers, so it loads no scipy and ignores
+    ``threads``."""
     _kind(kind)
     if threads < 1:
         raise ConfigError("threads must be at least 1")

@@ -25,8 +25,11 @@ the medium's own (q, p).  The transforms run in place on work buffers each
 solver allocates once, so a solver serves one caller at a time.  On a box,
 the four densities q E_c and p.E of a potential are transformed together,
 one scipy.fft call per axis each way (axes 1 and 2 once per block of
-axis-0 slabs).  The box kernels are built from the symbol one (2N)^2 slab
-at a time, so the (2N)^3 symbol is formed only for the whole grid.
+axis-0 slabs).  With K > 1 ``scipy.fft`` workers and more than one block,
+the blocks are shared out over K threads of the call, each in its own
+share of the block buffers on one worker.  The box kernels are built from
+the symbol one (2N)^2 slab per distinct j_2^2 at a time, so the (2N)^3
+symbol is formed only for the whole grid.
 
 Every solve, forward or adjoint, runs the module's own restarted GMRES,
 step for step scipy's, at the module constants ``GMRES_RTOL``,
@@ -52,6 +55,7 @@ direction.
 from __future__ import annotations
 
 import mmap
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -520,7 +524,8 @@ class _Convolution:
     with ``j2`` the squares of the lattice indices along an axis (as
     :attr:`ScatteringSolver.symbol` gathers the whole cube); each slab is
     inverted and cut to the offsets along those two axes, so the (2N)^3
-    symbol is never formed.  The samples are laid
+    symbol is never formed.  Slabs j_2 and -j_2 are equal, so N + 1 of the
+    2N are gathered and inverted and the rest copied.  The samples are laid
     out circularly on a lattice of L_a = next_fast_len(2 S_a - 1) points
     per axis (S_a box nodes), where no two kept offsets meet, and one FFT
     turns each into the spectrum the potential multiplies.
@@ -538,7 +543,16 @@ class _Convolution:
     spectra and not four more lattice volumes, and its memory grows less
     with the box.  A lattice of at most _BLOCK points is one block, of which
     the batch is a view: 6 scipy.fft calls per potential, 2 + 4 per block
-    otherwise."""
+    otherwise.
+
+    With K = scipy.fft.get_workers() > 1 and more than one block, the
+    per-block stage (copy in, passes on axes 1 and 2, the multiply, passes
+    back, copy out) runs on min(K, rows) threads, the caller one of them,
+    each on one scipy.fft worker and in its own share of the block and work
+    buffers: blocks of rows // K slabs, so no more block memory than with
+    one worker.  The axis-0 passes stay on the caller with its K workers.
+    Every block does the arithmetic of one worker, so the potential has
+    the same bits at any K."""
 
     def __init__(self, values, j2, kappa, box):
         import scipy.fft
@@ -557,8 +571,10 @@ class _Convolution:
         # s = |j|^2 across axes 0 and 1; slab j_2 adds j_2^2
         plane = j2[:, None] + j2[None, :]
         half = np.empty((span.size, span.size, M), dtype=complex)
-        for k, j2k in enumerate(j2):
-            half[..., k] = ifft_at(ifft_at(values[plane + j2k], 0), 1)
+        for k in range(M // 2 + 1):
+            half[..., k] = ifft_at(ifft_at(values[plane + j2[k]], 0), 1)
+        # slab M - k has slab k's j_2^2
+        half[..., M // 2 + 1:] = half[..., M // 2 - 1:0:-1]
         # the symbol depends on |k| alone, so G_0 and G_1 are G_2 with its
         # axis 2 swapped for axis 0 or 1; k = j/2 on the lattice
         g2 = ifft_at(0.5j * np.r_[:M // 2, -(M // 2):0] * half, 2)
@@ -584,17 +600,38 @@ class _Convolution:
 
     def potential(self, e, q, p):
         """-kappa^2 K * (q E) + grad K * (p.E) on the box."""
-        batch, work, ext = self._batch, self._work, self.ext
+        batch, ext = self._batch, self.ext
         data = _corner(batch, ext)
         for c in range(3):
             np.multiply(q, e[..., c], out=data[c])
         data[3] = np.einsum("...c,...c->...", p, e)
         _fft_passes(batch, ext, (0,))
-        mk, rows = self.spectra[0], len(work)
-        split = batch.base is not self._block  # more than one block
-        for lo in range(0, len(mk), rows):
+        rows, threads = len(self._work), 1
+        if batch.base is not self._block:  # more than one block
+            import scipy.fft
+
+            threads = min(scipy.fft.get_workers(), rows)
+        if threads == 1:
+            self._blocks(batch, self._block, self._work,
+                         range(0, len(batch[0]), rows))
+        else:
+            self._threaded_blocks(batch, threads)
+        out = np.empty(ext + (3,), dtype=complex)
+        for c, field in enumerate(_ifft_passes(batch[:3], ext, (0,),
+                                               full=(0,))):
+            out[..., c] = field
+        return out
+
+    def _blocks(self, batch, buf, work, starts):
+        """Axes 1 and 2 of the blocks of ``len(work)`` axis-0 slabs that
+        begin at ``starts``, in ``buf`` and ``work``: forward passes, the
+        spectral multiply, inverse passes.  Blocks are copied in from the
+        batch and out to it, unless the batch is a view of ``buf``."""
+        ext, mk, rows = self.ext, self.spectra[0], len(work)
+        split = batch.base is not buf
+        for lo in starts:
             slabs = slice(lo, lo + rows)
-            block = self._block[:, :len(mk[slabs])]
+            block = buf[:, :len(mk[slabs])]
             if split:
                 _corner(block, ext, (0,))[...] = batch[:, slabs]
             _fft_passes(block, ext, (1, 2), full=(0,))
@@ -606,11 +643,45 @@ class _Convolution:
             crop = _ifft_passes(block[:3], ext, (2, 1))
             if split:
                 batch[:3, slabs] = crop
-        out = np.empty(ext + (3,), dtype=complex)
-        for c, field in enumerate(_ifft_passes(batch[:3], ext, (0,),
-                                               full=(0,))):
-            out[..., c] = field
-        return out
+
+    def _threaded_blocks(self, batch, threads):
+        """:meth:`_blocks` on ``threads`` threads, each on one scipy.fft
+        worker, in its own share of the solver's block and work buffers
+        (blocks of rows // threads slabs), thread t taking every
+        ``threads``-th block from block t.  The caller runs share 0 and
+        returns once every thread it started has ended; then it raises the
+        first error of any share."""
+        import scipy.fft
+
+        rows = len(self._work) // threads
+        size = self._block[:, :rows].size
+        flat = self._block.reshape(-1)
+        shares = [(flat[t * size:(t + 1) * size].reshape(
+                       (4, rows) + self._work.shape[1:]),
+                   self._work[t * rows:(t + 1) * rows],
+                   range(t * rows, len(batch[0]), threads * rows))
+                  for t in range(threads)]
+        errors = []
+
+        def run(*share):
+            try:
+                self._blocks(batch, *share)
+            except BaseException as err:  # raised again by the caller
+                errors.append(err)
+
+        started = []
+        try:
+            for share in shares[1:]:
+                started.append(threading.Thread(target=run, args=share))
+                started[-1].start()
+            with scipy.fft.set_workers(1):
+                run(*shares[0])
+        finally:
+            for thread in started:
+                if thread.is_alive():
+                    thread.join()
+        if errors:
+            raise errors[0]
 
 
 class ScatteringSolver:

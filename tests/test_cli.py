@@ -6,13 +6,14 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from emiscat import cli, cgo_vectors
+from emiscat import cgo_vectors, cli, forward
 from emiscat.cli import ConfigError, load_config, main, run, verify_manifest
 from emiscat.forward import PlaneWave, ScatteringSolver
 from emiscat.fourier import BumpProfile, CubeGrid, SobolevParams
@@ -395,12 +396,28 @@ class TestDataPipelines:
         assert summary["box_shape"] == [12, 12, 11]
         assert (out / "near_data.dat").exists()
 
-    def test_nearfield_threads_do_not_change_outputs(self, tmp_path):
+    def test_nearfield_threads_do_not_change_outputs(self, tmp_path,
+                                                     monkeypatch):
+        # the 12x12x11 box's 24x24x21 lattice in blocks of 4 slabs, which
+        # two workers share out over the caller and a thread of each
+        # potential; none outlives the run
+        monkeypatch.setattr(forward, "_BLOCK", 4 * 24 * 21)
+        block_threads = set()
+
+        def recording(*args, _blocks=forward._Convolution._blocks):
+            block_threads.add(threading.current_thread())
+            return _blocks(*args)
+
+        monkeypatch.setattr(forward._Convolution, "_blocks", recording)
         cfg = write_config(tmp_path / "c.ini", BASE + BUMP)
         out1, out2 = tmp_path / "t1", tmp_path / "t2"
         for out, threads in ((out1, 1), (out2, 2)):
+            before = threading.active_count()
             assert main(["nearfield", "--config", cfg, "--out", str(out),
                          "--threads", str(threads)]) == 0
+            assert threading.active_count() == before
+        assert threading.current_thread() in block_threads
+        assert len(block_threads) > 1
         assert (out1 / "manifest.json").read_bytes() \
             == (out2 / "manifest.json").read_bytes()
 

@@ -1,5 +1,7 @@
 """Tests for the volume-integral forward solver and data operators."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -971,24 +973,96 @@ class TestBatchedPasses:
         solver.potential(e)
         assert len(calls) == 6
 
-    def test_blocks_match_one_block(self, monkeypatch):
-        # axes 1 and 2 run on blocks of 4 axis-0 slabs: the same bits as
-        # one block holding the lattice, in 2 + 4 calls per block
+    @staticmethod
+    def _small_blocks(monkeypatch, rows):
+        """A box solver whose lattice runs in blocks of ``rows`` axis-0
+        slabs, with its lattice's shape."""
+        shape = two_path_solver("box")._conv.spectra[0].shape
+        monkeypatch.setattr(forward, "_BLOCK",
+                            rows * shape[1] * shape[2] + 1)
+        return two_path_solver("box"), shape
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_blocks_match_one_block(self, monkeypatch, workers):
+        # axes 1 and 2 run on blocks of 4 axis-0 slabs, or with K workers
+        # on K threads of blocks of 4 // K slabs, each on one worker: the
+        # same bits as one block holding the lattice, in 2 + 4 calls per
+        # block, the 2 axis-0 calls on the caller with its workers; 4
+        # threads on 2 cores, switching often, write no slab twice
         solver = two_path_solver("box")
         e = _random(np.random.default_rng(15), solver.shape + (3,))
         want = solver.potential(e)
-        shape = solver._conv.spectra[0].shape
-        monkeypatch.setattr(forward, "_BLOCK", 4 * shape[1] * shape[2] + 1)
-        solver = two_path_solver("box")
+        solver, shape = self._small_blocks(monkeypatch, 4)
         calls = []
         for name in ("fftn", "ifftn"):
             def counted(*args, _transform=getattr(scipy.fft, name),
                         **kwargs):
-                calls.append(_transform)
+                calls.append((threading.current_thread(),
+                              scipy.fft.get_workers()))
                 return _transform(*args, **kwargs)
             monkeypatch.setattr(scipy.fft, name, counted)
-        assert np.array_equal(solver.potential(e), want)
-        assert len(calls) == 2 + 4 * -(-shape[0] // 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with scipy.fft.set_workers(workers):
+                got = solver.potential(e)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, want)
+        caller = (threading.current_thread(), workers)
+        assert calls[0] == calls[-1] == caller
+        assert len(calls) == 2 + 4 * -(-shape[0] // (4 // workers))
+        blocks = calls[1:-1]
+        assert {w for _, w in blocks} == {1}
+        assert len({t for t, _ in blocks}) == workers
+
+    def test_block_threads_share_the_block_memory(self, monkeypatch):
+        # each thread transforms in its own share of the solver's one block
+        # and work buffer: no more block memory with 2 workers than with 1
+        solver, _ = self._small_blocks(monkeypatch, 5)
+        conv, used = solver._conv, []
+
+        def recording(self, batch, block, work, starts,
+                      _blocks=forward._Convolution._blocks):
+            used.append((scipy.fft.get_workers(), block, work))
+            return _blocks(self, batch, block, work, starts)
+
+        monkeypatch.setattr(forward._Convolution, "_blocks", recording)
+        e = _random(np.random.default_rng(16), solver.shape + (3,))
+        with scipy.fft.set_workers(1):
+            one = solver.potential(e)
+        with scipy.fft.set_workers(2):
+            assert np.array_equal(solver.potential(e), one)
+        assert len(used) == 3 and used[0][0] == 1
+        shares = used[1:]
+        assert sum(b.nbytes + w.nbytes for _, b, w in shares) \
+            <= used[0][1].nbytes + used[0][2].nbytes
+        for _, block, work in shares:
+            assert np.shares_memory(block, conv._block)
+            assert np.shares_memory(work, conv._work)
+        (_, b0, w0), (_, b1, w1) = shares
+        assert not (np.shares_memory(b0, b1) or np.shares_memory(w0, w1))
+
+    @pytest.mark.parametrize("where", ["caller", "thread"])
+    def test_block_thread_errors_reach_the_caller(self, monkeypatch, where):
+        # an error in either share of the blocks reaches the caller, once
+        # every block thread has ended
+        solver, _ = self._small_blocks(monkeypatch, 4)
+        caller = threading.current_thread()
+
+        def failing(buf, ext, axes, full=(0, 1, 2),
+                    _passes=forward._ifft_passes):
+            if (threading.current_thread() is caller) == (where == "caller"):
+                raise RuntimeError(f"failed on the {where}")
+            return _passes(buf, ext, axes, full)
+
+        monkeypatch.setattr(forward, "_ifft_passes", failing)
+        e = _random(np.random.default_rng(17), solver.shape + (3,))
+        before = threading.active_count()
+        with scipy.fft.set_workers(2), \
+                pytest.raises(RuntimeError, match=f"on the {where}"):
+            solver.potential(e)
+        assert threading.active_count() == before
 
 
 def oracle_box_spectra(solver):
