@@ -6,7 +6,11 @@ conjugated variables throughout: a periodic Faddeev-type operator G_zeta
 inverts the conjugated Laplacian on a half-integer-shifted frequency
 lattice, the 6x6 potential matrix Q couples the fields, and a Neumann
 iteration solves the fixed-point system (contraction factor <= 1/2 once
-t exceeds the explicit threshold t_min).
+t exceeds the explicit threshold t_min).  The sweeps run in the unshifted
+frame Z = demod X, where demod = e^{-i pi x_3/(4R)} moves the shifted
+lattice onto the FFT's own and G_zeta is two in-place transforms around
+its symbol.  One CGO pairing peaks at about 32 cube volumes (see
+``cgo_solve``).
 
 G_zeta is diagonal only for Im(zeta) along e_z.  Every other direction is
 reached by a rotation rot, for a CGO pair ``CgoVectors.rotation``:
@@ -139,6 +143,15 @@ def _cross(a, b):
     return out
 
 
+def ball_box(grid: CubeGrid):
+    """The grid-aligned box of nodes with every coordinate inside
+    (-pi, pi), as a tuple of slices: it covers B(pi), where the contrast
+    lives.  At m_grid = 48 on R = 1.2 pi it holds 19^3 of the 48^3
+    nodes."""
+    inside = np.flatnonzero(np.abs(grid.axis()) < np.pi)
+    return (slice(inside[0], inside[-1] + 1),) * 3
+
+
 class MediumFields:
     """A refractive index sampled on the large CGO cube.
 
@@ -146,12 +159,13 @@ class MediumFields:
     medium's frame to the CGO frame, so the cube holds n'(x) = n(rot^T x),
     evaluated from the medium's bump profile; a sampled medium without one
     is refused.
-    ``values`` is n', ``sqrt_n`` and ``inv_sqrt_n`` are n'^{1/2} and
-    n'^{-1/2}: three cube volumes, which ``cgo_solve`` holds from start to
-    end.  Q's coefficients are a :class:`Potential` (14 volumes), held
-    through the sweeps; the derivative fields grad(n) and Delta n^{1/2}
-    (4 volumes) only until the right-hand side is formed.  A CGO pairing
-    peaks at about 45 volumes (see ``cgo_solve``).
+    ``values`` is n', one cube volume, which ``cgo_solve`` holds from start
+    to end; n'^{1/2} and n'^{-1/2} are formed where they are read.
+    The sampled contrast must vanish exactly off the cube's ``ball_box``,
+    or ``ValueError`` is raised, so that a pairing of two media need only
+    sum over the box.  ``RefractiveIndex`` checks the support on its own
+    grid only, to 1e-10, and a bump can reach past B(pi) between those
+    nodes.
     """
 
     def __init__(self, n: RefractiveIndex, R: float, m_grid: int,
@@ -171,62 +185,88 @@ class MediumFields:
         vals = 1.0 + profile.contrast(points)
         if np.min(vals.real) < n.b - 1e-8:
             raise ValueError("resampled Re(n) dips below b")
+        if np.count_nonzero(vals[ball_box(self.grid)] != 1.0) \
+                != np.count_nonzero(vals != 1.0):
+            raise ValueError("the resampled contrast is nonzero outside "
+                             "B(pi)")
         self.values = vals
-        self.sqrt_n = np.sqrt(vals)
-        self.inv_sqrt_n = 1.0 / self.sqrt_n
+
+
+# the 6 stored components of a symmetric 3x3 field: the diagonal (i, i) at
+# i, then for each cyclic (i, j, k) the entry (j, k) at 3 + i
+SYM_INDEX = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2]])
 
 
 def _derivatives(med: MediumFields):
     """The spectral derivative fields of n that Q and the right-hand side
-    are built from: grad(n), shape (3, m, m, m), Delta n^{1/2}, and
-    ``jac_p[i, j]`` = d_j p_i with p = grad(n)/n, shape (3, 3, m, m, m)."""
+    are built from: grad(n), shape (3, m, m, m), Delta n^{1/2}, and the
+    symmetric part of the Jacobian of p = grad(n)/n,
+    sym[i, j] = IFFT(i (xi_j p^_i + xi_i p^_j) / 2), as its 6 components
+    (``SYM_INDEX``), shape (6, m, m, m).
+
+    The spectral Jacobian d_j p_i is not symmetric; its continuum limit,
+    the Hessian of log n, is.  Keeping the symmetric part takes 6 inverse
+    transforms and 6 volumes instead of 9."""
     vals = med.values
     freqs = np.stack(med.grid.frequencies())
     ifreqs = 1j * freqs
     grad = ifftn(ifreqs * fftn(vals - 1.0, AXES), AXES)
     phat = fftn(grad / vals, AXES)
-    jac_p = ifftn(ifreqs * phat[:, None], AXES)
+    sym = np.empty((6,) + vals.shape, dtype=complex)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(ifreqs[i], phat[i], out=sym[i])
+        np.multiply(freqs[k], phat[j], out=sym[3 + i])
+        sym[3 + i] += freqs[j] * phat[k]
+        sym[3 + i] *= 0.5j
+    del phat
+    ifftn(sym, AXES)
     f1, f2, f3 = freqs
     lap_sqrt = ifftn(-(f1**2 + f2**2 + f3**2)
-                     * fftn(med.sqrt_n - 1.0, AXES), AXES)
-    return grad, lap_sqrt, jac_p
+                     * fftn(np.sqrt(vals) - 1.0, AXES), AXES)
+    return grad, lap_sqrt, sym
 
 
 class Potential:
     """The 6x6 potential matrix Q of a :class:`MediumFields`, built from
-    the derivative fields of ``_derivatives``, of which it keeps only
-    ``jac_p``.
+    the derivative fields of ``_derivatives``, of which it keeps only the
+    symmetric Jacobian, folded into ``top``.
 
-    Q has ``k2q`` = kappa^2 (1 - n) on the diagonal, plus
-    n^{-1/2} Delta n^{1/2} (in ``k2q_helm``) - jac_p on the top block,
-    and the cross-product coupling w = i kappa n^{-1/2} grad(n).  These
-    are 14 cube volumes, which ``cgo_solve`` holds through its sweeps and
-    frees when the last one returns.
+    Q has ``k2q`` = kappa^2 (1 - n) on the diagonal, the top block
+    ``top`` = M = (k2q + n^{-1/2} Delta n^{1/2}) I - sym, stored as its 6
+    components (``SYM_INDEX``, in the buffer of ``sym``), and the
+    cross-product coupling w = i kappa n^{-1/2} grad(n).  These are 10 cube
+    volumes, which ``cgo_solve`` holds through its sweeps and frees when
+    the last one returns.
     """
 
     def __init__(self, med: MediumFields, kappa: float, grad, lap_sqrt,
-                 jac_p):
-        self.jac_p = jac_p
+                 sym):
+        inv_sqrt_n = 1.0 / np.sqrt(med.values)
         self.k2q = kappa**2 * (1.0 - med.values)
-        self.k2q_helm = self.k2q + med.inv_sqrt_n * lap_sqrt
-        self.w = 1j * kappa * med.inv_sqrt_n * grad
+        self.top = np.negative(sym, out=sym)
+        self.top[:3] += self.k2q + inv_sqrt_n * lap_sqrt
+        self.w = 1j * kappa * inv_sqrt_n * grad
 
     def apply(self, A, B):
         """Action of Q on a field pair (A, B) of component-first fields
-        (3, m, m, m), or broadcastable to them."""
-        top = self.k2q_helm * A
+        (3, m, m, m), or broadcastable to them: 9 products for the top
+        block and 12 for the coupling."""
+        top = np.empty((3,) + self.k2q.shape, dtype=complex)
         bot = self.k2q * B
-        tmp = np.empty(top.shape[1:], dtype=complex)
-        w = self.w
+        tmp = np.empty(self.k2q.shape, dtype=complex)
+        mat, w = self.top, self.w
         for i in range(3):
             j, k = (i + 1) % 3, (i + 2) % 3
-            # top_i -= (w x B)_i, bot_i += (w x A)_i
+            # top_i = M_ii A_i + M_ij A_j + M_ik A_k - (w x B)_i
+            np.multiply(mat[i], A[i], out=top[i])
+            top[i] += np.multiply(mat[3 + k], A[j], out=tmp)
+            top[i] += np.multiply(mat[3 + j], A[k], out=tmp)
             top[i] -= np.multiply(w[j], B[k], out=tmp)
             top[i] += np.multiply(w[k], B[j], out=tmp)
+            # bot_i += (w x A)_i
             bot[i] += np.multiply(w[j], A[k], out=tmp)
             bot[i] -= np.multiply(w[k], A[j], out=tmp)
-            for c in range(3):
-                top[i] -= np.multiply(self.jac_p[i, c], A[c], out=tmp)
         return top, bot
 
 
@@ -280,9 +320,19 @@ class FaddeevOperator:
     def __call__(self, f):
         """Apply G_zeta to a scalar field (m, m, m), or to every component
         of a field (..., m, m, m) in one batched transform."""
-        g = self._forward(f)
+        g = self.unshifted(self._demod * f)
+        g *= self._remod
+        return g
+
+    def unshifted(self, g):
+        """G_zeta in the unshifted frame, demod G_zeta remod =
+        IFFT(symbol FFT(g)), in place on ``g``; returns ``g``.
+
+        For a field Z = demod X this is demod G_zeta X without a phase
+        pass, and a pointwise Q commutes with demod."""
+        fftn(g, AXES)
         g *= self.symbol
-        return self._inverse(g)
+        return ifftn(g, AXES)
 
     def shifted_curl(self, v):
         """Spectral curl of a shifted-band field v (3, m, m, m)."""
@@ -293,16 +343,23 @@ class FaddeevOperator:
 def cgo_rhs(med: MediumFields, grad, lap_sqrt, q: Potential,
             op: FaddeevOperator, zeta, eta, kappa):
     """Right-hand side (F1, F2) of the conjugated fixed-point system, as
-    component-first fields, from the derivative fields grad(n) and
-    Delta n^{1/2} and the potential Q they built."""
+    component-first fields in the unshifted frame, demod (F1, F2), from
+    the derivative fields grad(n) and Delta n^{1/2} and the potential Q
+    they built."""
     zeta = np.asarray(zeta, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
+    sqrt_n = np.sqrt(med.values)
     zdg = np.tensordot(zeta, grad, axes=1)  # zeta . grad(n)
-    scalar = -1j * med.inv_sqrt_n * zdg - lap_sqrt
-    qa, qb = q.apply(med.sqrt_n * _column(eta),
+    scalar = -1j * (1.0 / sqrt_n) * zdg - lap_sqrt
+    qa, qb = q.apply(sqrt_n * _column(eta),
                      _column(np.cross(zeta, eta) / kappa))
+    del sqrt_n, zdg
     qa += scalar * _column(eta)
-    return -op(qa), -op(qb)
+    del scalar
+    for qx in (qa, qb):
+        qx *= op._demod
+        np.negative(op.unshifted(qx), out=qx)
+    return qa, qb
 
 
 @dataclass
@@ -313,8 +370,9 @@ class CgoSolution:
     u = eta + f*zeta + V; only the bounded parts are stored, vector fields
     as (m, m, m, 3).  ``zeta``, ``eta``, the fields and ``n_values``, the
     refractive index sampled on the cube, are in the CGO (rotated) frame;
-    ``iterations`` counts the Neumann sweeps.  ``u`` is not stored: it is
-    formed from ``f`` and ``V`` on each read.
+    ``iterations`` counts the Neumann sweeps and ``step`` is the last
+    sweep's relative step, the one that ``NEUMANN_TOL`` bounds.  ``u`` is
+    not stored: it is formed from ``f`` and ``V`` on each read.
     """
 
     grid: CubeGrid
@@ -331,6 +389,7 @@ class CgoSolution:
     residual: float
     n_values: np.ndarray
     iterations: int
+    step: float
     contraction: list = field(default_factory=list)
 
     @property
@@ -371,43 +430,52 @@ def _pair_norm(a, b) -> float:
 
 
 def _system(med: MediumFields, op: FaddeevOperator, zeta, eta, kappa):
-    """The potential Q, the right-hand side (F1, F2) and the scalar
+    """The potential Q, the right-hand side demod (F1, F2) and the scalar
     i n^{-1/2} eta.grad(n) that the extraction reads.  grad(n) and
     Delta n^{1/2}, which only these read, are locals here and are freed
     on return."""
-    grad, lap_sqrt, jac_p = _derivatives(med)
-    q = Potential(med, kappa, grad, lap_sqrt, jac_p)
+    grad, lap_sqrt, sym = _derivatives(med)
+    q = Potential(med, kappa, grad, lap_sqrt, sym)
     f1, f2 = cgo_rhs(med, grad, lap_sqrt, q, op, zeta, eta, kappa)
-    return q, f1, f2, 1j * med.inv_sqrt_n * np.tensordot(eta, grad, axes=1)
+    inv_sqrt_n = 1.0 / np.sqrt(med.values)
+    return q, f1, f2, 1j * inv_sqrt_n * np.tensordot(eta, grad, axes=1)
+
+
+def _sweep(q: Potential, op: FaddeevOperator, z, z_f):
+    """One Neumann sweep in the unshifted frame, Z <- Z_F - demod G_zeta Q
+    remod Z for Z = demod (A, B), done in place on Q's product.
+
+    Since Q acts pointwise, this is demod times the sweep
+    (A, B) <- (F1, F2) - G_zeta Q (A, B), without its phase passes."""
+    new = q.apply(*z)
+    for c, rhs in zip(new, z_f):
+        np.subtract(rhs, op.unshifted(c), out=c)
+    return new
 
 
 def _neumann(med: MediumFields, op: FaddeevOperator, zeta, eta, kappa):
     """Build the system (``_system``) and run the Neumann sweeps
-    (A, B) <- (F1, F2) - G_zeta Q (A, B) from (F1, F2).
+    (``_sweep``) from (F1, F2), in the unshifted frame; |demod| = 1, so
+    the steps and their norms are those of the shifted frame.
 
     The potential and (F1, F2) are locals here and are freed on return.
-    Returns the eta.grad scalar, the last iterate (A, B) and the
-    contraction ratios, one per sweep after the first.
+    Returns the eta.grad scalar, the last iterate (A, B), remodulated in
+    place, the contraction ratios, one per sweep after the first, and the
+    final relative step, which ``NEUMANN_TOL`` bounds.
     """
-    q, f1, f2, eta_grad = _system(med, op, zeta, eta, kappa)
-    ea, hb = f1, f2
+    q, *z_f, eta_grad = _system(med, op, zeta, eta, kappa)
+    z = z_f
     prev_delta = None
     ratios = []
     for _ in range(NEUMANN_SWEEPS):
-        new_a, new_b = q.apply(ea, hb)
-        # G_zeta transforms into a fresh buffer, so rebinding frees Q's
-        # product before the next transform
-        new_a = op(new_a)
-        np.subtract(f1, new_a, out=new_a)
-        new_b = op(new_b)
-        np.subtract(f2, new_b, out=new_b)
-        scale = _pair_norm(new_a, new_b)
-        # the step goes into the previous iterate's buffer, except on the
+        new = _sweep(q, op, z, z_f)
+        scale = _pair_norm(*new)
+        # the step goes into the previous iterate's buffers, except on the
         # first sweep, whose previous iterate is (F1, F2) itself
-        first = ea is f1
-        delta = _pair_norm(np.subtract(new_a, ea, out=None if first else ea),
-                           np.subtract(new_b, hb, out=None if first else hb))
-        ea, hb = new_a, new_b
+        first = z is z_f
+        delta = _pair_norm(*(np.subtract(a, b, out=None if first else b)
+                             for a, b in zip(new, z)))
+        z = new
         if prev_delta is not None and prev_delta > 0:
             ratios.append(delta / prev_delta)
             if len(ratios) >= 3 and min(ratios[-3:]) > 1.0:
@@ -415,7 +483,9 @@ def _neumann(med: MediumFields, op: FaddeevOperator, zeta, eta, kappa):
                                contraction=ratios)
         prev_delta = delta
         if delta <= NEUMANN_TOL * max(scale, 1e-300):
-            return eta_grad, ea, hb, ratios
+            for c in z:
+                c *= op._remod
+            return eta_grad, *z, ratios, delta / max(scale, 1e-300)
     raise CgoError("Neumann iteration did not converge "
                    f"(last ratio {ratios[-1] if ratios else np.nan:.3f})",
                    contraction=ratios)
@@ -437,17 +507,17 @@ def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, kappa: float,
     ("diverging"), or after ``NEUMANN_SWEEPS`` sweeps ("did not
     converge").
 
-    Memory, in cube volumes of m^3 complex numbers: the medium (3) and
-    the operator's symbol (1) are held for the whole solve, the
-    potential (14) and the right-hand side (6) until the last sweep
-    returns, and grad(n) and Delta n^{1/2} (4) only until the right-hand
-    side and the eta.grad scalar (1) are formed.  A sweep adds the
-    iterate, Q's product and one transform, at most 15 volumes, and one
-    solve peaks there, at about 40.  The extraction starts from the last
+    Memory, in cube volumes of m^3 complex numbers: the medium n (1) and
+    the operator's symbol (1) are held for the whole solve, the potential
+    (10), the right-hand side (6) and the eta.grad scalar (1) until the
+    last sweep returns, and grad(n) and Delta n^{1/2} (4) only until the
+    right-hand side is formed.  A sweep adds the iterate (6), Q's product
+    (6), which it transforms in place, and one scratch volume, and one
+    solve peaks there, at about 32.  The extraction starts from the last
     iterate (6) and the eta.grad scalar (1), and the solution keeps f, V,
-    h and n_values (8).  ``vsc.cgo_pair_estimate`` also holds 5 volumes
-    of its first solution while the second solves, so a pairing peaks at
-    about 45.
+    h and n_values (8).  ``vsc.cgo_pair_estimate`` holds f, V and n of its
+    first solution only on the ``ball_box`` while the second solves,
+    0.3 volumes at m_grid = 48, so a pairing peaks at about 32 as well.
     """
     zeta = np.asarray(zeta, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
@@ -461,15 +531,18 @@ def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, kappa: float,
         raise CgoError("zeta.eta != 0")
     med = MediumFields(n, R, m_grid, rotation)
     op = FaddeevOperator(zeta, med.grid)
-    eta_grad, ea, hb, ratios = _neumann(med, op, zeta, eta, kappa)
+    eta_grad, ea, hb, ratios, step = _neumann(med, op, zeta, eta, kappa)
     # extraction per the remainder splitting
     zeta_c = _column(zeta)
     g0 = op(eta_grad)
-    f_field = med.inv_sqrt_n * g0
+    del eta_grad
+    inv_sqrt_n = 1.0 / np.sqrt(med.values)
+    f_field = inv_sqrt_n * g0
     # V is formed in the last iterate's top buffer, which nothing reads
     # after it
     v_field = np.subtract(ea, g0 * zeta_c, out=ea)
-    np.multiply(med.inv_sqrt_n, v_field, out=v_field)
+    np.multiply(inv_sqrt_n, v_field, out=v_field)
+    del g0, inv_sqrt_n
     # the constant parts of u and h are curl-free and handled analytically
     mod_u = _remainder(f_field, v_field, zeta)
     u = _column(eta) + mod_u
@@ -497,4 +570,5 @@ def cgo_solve(n: RefractiveIndex, zeta, eta, R: float, kappa: float,
                        t=op.t, f=f_field, V=np.moveaxis(v_field, 0, -1),
                        h=np.moveaxis(h, 0, -1), f_norm=f_norm,
                        v_norm=v_norm, residual=resid, n_values=med.values,
-                       iterations=len(ratios) + 1, contraction=ratios)
+                       iterations=len(ratios) + 1, step=step,
+                       contraction=ratios)

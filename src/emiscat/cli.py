@@ -338,6 +338,7 @@ def run_cgo(cfg, medium, ws: Workspace):
         "zeta_re": list(np.real(sol.zeta)), "zeta_im": list(np.imag(sol.zeta)),
         "eta_re": list(np.real(sol.eta)), "eta_im": list(np.imag(sol.eta)),
         "residual": sol.residual, "iterations": sol.iterations,
+        "step": sol.step,
         "contraction": float(max(sol.contraction)) if sol.contraction else None,
         "remainder_norm": sol.remainder_norm(),
     })

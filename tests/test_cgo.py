@@ -49,9 +49,8 @@ def q_matrix(pot):
     cross[2, 0], cross[2, 1] = -wy, wx
     q[:3, 3:] = -cross
     q[3:, :3] = cross
-    q[:3, :3] = -pot.jac_p
+    q[:3, :3] = pot.top[cgo.SYM_INDEX]
     for i in range(3):
-        q[i, i] += pot.k2q_helm
         q[i + 3, i + 3] = pot.k2q
     return q
 
@@ -271,6 +270,39 @@ class TestMediumFields:
         assert np.max(np.abs(top - ref[:3])) < 1e-10
         assert np.max(np.abs(bot - ref[3:])) < 1e-10
 
+    def test_symmetric_jacobian_folded(self):
+        # the stored field is (J + J^T)/2 of the spectral Jacobian
+        # J[i, j] = d_j p_i, p = grad(n)/n, and Q's top block folds
+        # k2q + n^{-1/2} Delta n^{1/2} into its diagonal
+        med = MediumFields(bump_medium(n_grid=16), R_CGO, 16)
+        grad, lap_sqrt, sym = cgo._derivatives(med)
+        freqs = med.grid.frequencies()
+        phat = np.fft.fftn(grad / med.values, axes=cgo.AXES)
+        jac = np.array([[np.fft.ifftn(1j * freqs[j] * phat[i], axes=cgo.AXES)
+                         for j in range(3)] for i in range(3)])
+        want = 0.5 * (jac + np.swapaxes(jac, 0, 1))
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(sym[cgo.SYM_INDEX] - want)) <= 1e-13 * scale
+        pot = Potential(med, KAPPA, grad, lap_sqrt, sym.copy())
+        helm = KAPPA**2 * (1.0 - med.values) + lap_sqrt / np.sqrt(med.values)
+        want_top = np.eye(3)[:, :, None, None, None] * helm - want
+        assert np.max(np.abs(pot.top[cgo.SYM_INDEX] - want_top)) \
+            <= 1e-13 * np.max(np.abs(want_top))
+
+    def test_contrast_past_b_pi_rejected(self):
+        # a bump reaching past B(pi) between the nodes of its own grid:
+        # RefractiveIndex, which checks the support on those nodes only,
+        # accepts it; the CGO cube has nodes in it off the support box
+        prof = BumpProfile(centers=((0.0, 0.0, 2.5),), amplitudes=(0.2,),
+                           widths=(0.7,))
+        grid = CubeGrid(np.pi, 24)
+        n = RefractiveIndex(grid=grid, values=1.0 + prof.contrast(
+            grid.points()), b=0.8, profile=prof)
+        outside = grid.radii() >= np.pi
+        assert np.max(np.abs(n.values[outside] - 1.0)) < 1e-10
+        with pytest.raises(ValueError, match=r"outside B\(pi\)"):
+            MediumFields(n, R_CGO, 48)
+
     def test_q_bound_dominates(self):
         # the explicit matrix stays below the generic spectral-norm bound
         n = bump_medium(n_grid=16)
@@ -312,7 +344,7 @@ class TestCgoSolve:
         assert sol.residual < 1e-3
 
     def test_transform_count(self, monkeypatch):
-        # the derivative fields 18 volumes, right-hand side 12, each
+        # the derivative fields 15 volumes, right-hand side 12, each
         # Neumann sweep 12, the extraction 2 and the two residual curls 12
         n = bump_medium(n_grid=16)
         volumes = []
@@ -326,7 +358,24 @@ class TestCgoSolve:
         zeta, eta = axis_aligned_zeta(12.0)
         sol = cgo_solve(n, zeta, eta, R_CGO, KAPPA, 16)
         assert sol.iterations == len(sol.contraction) + 1
-        assert sum(volumes) == 44 + 12 * sol.iterations
+        assert 0.0 < sol.step <= cgo.NEUMANN_TOL
+        assert sum(volumes) == 41 + 12 * sol.iterations
+
+    def test_unshifted_sweep(self):
+        # a sweep on Z = demod X is demod (F - G_zeta Q X), with G_zeta
+        # applied through FaddeevOperator.__call__
+        med = MediumFields(bump_medium(n_grid=16), R_CGO, 16)
+        zeta, eta = axis_aligned_zeta(12.0)
+        op = FaddeevOperator(zeta, med.grid)
+        q, *z_f, _ = cgo._system(med, op, zeta, eta, KAPPA)
+        rng = np.random.default_rng(12)
+        X = [rng.standard_normal((3, 16, 16, 16))
+             + 1j * rng.standard_normal((3, 16, 16, 16)) for _ in range(2)]
+        want = [op._remod * z - op(qx) for z, qx in zip(z_f, q.apply(*X))]
+        got = cgo._sweep(q, op, [op._demod * x for x in X], z_f)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(op._remod * g - w)) \
+                <= 1e-13 * np.max(np.abs(w))
 
     @pytest.mark.parametrize("sweeps", [1, 3])
     def test_nonconvergence_carries_contraction(self, monkeypatch, sweeps):
@@ -353,9 +402,10 @@ class TestCgoSolve:
         assert all(r > 1.0 for r in err.value.contraction)
 
     def test_pair_memory(self):
-        # one pairing at m_grid = 32 peaks at about 45 cube volumes of m^3
+        # one pairing at m_grid = 32 peaks at about 32 cube volumes of m^3
         # complex numbers; holding both whole solutions and every medium
-        # field to the end took 80
+        # field to the end took 80, and 9 Jacobian components, an unfolded
+        # top block, shifted-frame sweeps and the whole first solution 45
         m = 32
         n1 = bump_medium()
         prof = BumpProfile(centers=((0.3, -0.2, 0.1), (-0.6, 0.4, 0.2)),
@@ -370,7 +420,13 @@ class TestCgoSolve:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 56 * m**3 * 16
+        assert peak <= 36 * m**3 * 16
+
+    def test_pair_of_one_medium(self):
+        # n1 - n2 is exactly 0, and so is the estimate
+        n = bump_medium()
+        assert cgo_pair_estimate(n, n, (1.0, 0.0, 0.0), 15.0, KAPPA, R_CGO,
+                                 m_grid=16) == (0, 0)
 
     def test_bad_inputs(self):
         n = bump_medium(n_grid=16)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from emiscat import cgo_vectors, cli, forward
+from emiscat.cgo import NEUMANN_TOL
 from emiscat.cli import ConfigError, load_config, main, run, verify_manifest
 from emiscat.forward import PlaneWave, ScatteringSolver
 from emiscat.fourier import BumpProfile, CubeGrid, SobolevParams
@@ -453,6 +454,7 @@ m_grid = 24
         assert summary["contraction"] < 1.0
         (sol,) = solutions
         assert summary["iterations"] == len(sol.contraction) + 1
+        assert summary["step"] == sol.step <= NEUMANN_TOL
         # zeta is written in the rotated frame, with the rotation that
         # brings it back to the medium's frame
         assert summary["t"] == 25.0 and summary["frame"] == "rotated"

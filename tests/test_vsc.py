@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import spherical_jn
 
-from emiscat.cgo import MediumFields, cgo_solve, cgo_vectors
+from emiscat.cgo import MediumFields, ball_box, cgo_solve, cgo_vectors
 from emiscat.forward import (
     NearFieldData,
     SphereGrid,
@@ -331,7 +331,8 @@ class TestFourierDiff:
 
     def test_cgo_pair_matches_whole_solutions(self):
         # the pairing equals, bit for bit, the one assembled from two whole
-        # solutions, and a solution's u is eta + (f zeta + V)
+        # solutions on the support box, off which the weight is exactly 0,
+        # and a solution's u is eta + (f zeta + V)
         n1 = bump_medium()
         n2 = bump_medium(extra=((-0.6, 0.4, 0.2), 0.05, 1.0))
         gamma, t = np.array([1.0, 0.0, 0.0]), 15.0
@@ -343,16 +344,24 @@ class TestFourierDiff:
         for s in (s1, s2):
             assert np.array_equal(s.u, s.eta + (s.f[..., None] * s.zeta + s.V))
         grid = s1.grid
+        box = ball_box(grid)
         weight = ((s1.n_values - s2.n_values)
                   * np.exp(-1j * grid.points() @ (rot @ gamma))
                   * grid.spacing**3)
-        total = np.sum(weight * np.einsum("...j,...j->...", s1.u, s2.u))
+        off_box = np.ones(weight.shape, dtype=bool)
+        off_box[box] = False
+        assert np.count_nonzero(weight[off_box]) == 0
+        assert np.count_nonzero(weight[box]) > 0
+        weight = weight[box]
+        f1, V1, u1, f2, V2, u2 = (x[box] for x in (s1.f, s1.V, s1.u,
+                                                   s2.f, s2.V, s2.u))
+        total = np.sum(weight * np.einsum("...j,...j->...", u1, u2))
         corr = np.sum(weight * (
-            -g * (s1.f + s2.f)
-            + s2.V @ s1.eta + s1.V @ s2.eta
-            + s1.f * s2.f * (g**2 / 2.0 - KAPPA**2)
-            + s1.f * (s2.V @ s1.zeta) + s2.f * (s1.V @ s2.zeta)
-            + np.einsum("...j,...j->...", s1.V, s2.V)))
+            -g * (f1 + f2)
+            + V2 @ s1.eta + V1 @ s2.eta
+            + f1 * f2 * (g**2 / 2.0 - KAPPA**2)
+            + f1 * (V2 @ s1.zeta) + f2 * (V1 @ s2.zeta)
+            + np.einsum("...j,...j->...", V1, V2)))
         lead = UNITARY_FACTOR * (1.0 + g**2 / (4.0 * t**2))
         est, leading = cgo_pair_estimate(n1, n2, gamma, t, KAPPA, R_DATA,
                                          m_grid=32)
